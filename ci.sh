@@ -118,8 +118,8 @@ echo "==> durability drill (reduced matrix)"
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test recovery
 
 echo "==> checkpoint-durability bench (reduced scale)"
-# Durable-disk overhead vs the in-memory twin and cold-start (open +
-# scrub + rebuild) latency per checkpoint density; functional two-run
+# Durable-disk overhead vs the twin run on an in-memory SimBackend store
+# and cold-start (open + scrub + rebuild) latency per checkpoint density; functional two-run
 # determinism is asserted inside the bench. The committed full-scale
 # JSON is restored afterwards.
 MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin checkpoint_durability
@@ -128,6 +128,12 @@ if [ ! -s results/BENCH_durability.json ]; then
     echo "error: results/BENCH_durability.json missing or empty" >&2
     exit 1
 fi
+
+echo "==> end-to-end benchmark: build and unit tests"
+# perfbench is its own workspace over this one's public API; building
+# it and running its unit tests catches API drift that would break it.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -5,8 +5,9 @@
 //! (write-temp → fsync → rename → fsync-dir) and appends each
 //! post-commit eviction delivery to a checksummed WAL. Both disciplines
 //! buy crash atomicity with real syscalls, so the interesting numbers
-//! are the *overhead* of a store-attached run against the identical
-//! in-memory run, amortized per commit, and the *cold-start latency*:
+//! are the *overhead* of a disk-store run against its twin on an
+//! in-memory `SimBackend` store (same commits and WAL appends, no
+//! syscalls), amortized per commit, and the *cold-start latency*:
 //! reopening the directory, scrubbing every artifact, and rebuilding an
 //! executor from the newest generation.
 //!
@@ -172,7 +173,8 @@ fn json(rows: &[Row], records: usize, root_seed: u64) -> String {
          \"records\": {records},\n  \"seed\": {root_seed},\n  \
          \"metric\": \"durable-run overhead and cold-start latency by checkpoint density\",\n  \
          \"note\": \"Each row attaches a real DiskBackend (write-temp/fsync/rename/fsync-dir \
-         commits, fsynced WAL appends) and compares against the identical in-memory run. \
+         commits, fsynced WAL appends) and compares against the identical run on an in-memory \
+         SimBackend store. \
          cold_start_ms = reopen + full scrub + rebuild from the newest generation; \
          replay_records = stream tail past the recovered high-water mark. Functional \
          determinism (two durable runs and two recoveries bit-identical: reports, results, \
@@ -201,7 +203,9 @@ fn main() -> Result<(), MsaError> {
 
     let mut rows = Vec::new();
     for epoch_micros in [250_000u64, 500_000, 1_000_000, 2_000_000] {
-        // In-memory baseline: same config, no store attached.
+        // In-memory twin: the same durable config without `with_store`
+        // checkpoints into a fresh `SimBackend` store, so the row's
+        // overhead is the disk backend's syscalls alone.
         let mut ex = config(&plan, epoch_micros, root_seed).build();
         let t = Instant::now();
         ex.run(records);

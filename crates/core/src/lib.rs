@@ -64,9 +64,9 @@ pub use msa_gigascope::{
     ExecutorConfig, FaultPlan, GuardLevel, GuardPolicy, GuardTransition, HandoffViolation, Hfta,
     Ingest, IngestMode, LossBreakdown, LossClass, OverloadGuard, PhysicalPlan, PoisonRecord,
     QueryBounds, RecoveredArtifacts, RecoveryError, RollbackReason, RunReport, ScrubReport,
-    ShardError, ShardFault, ShardHealth, ShardHeartbeat, ShardState, ShardedExecutor,
-    ShardedSnapshot, ShedDecision, Snapshot, SnapshotError, StoreHandle, StoreRecovery, StoreStats,
-    SupervisorPolicy, SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,
+    ShardError, ShardFault, ShardHealth, ShardHeartbeat, ShardState, ShardedExecutor, ShedDecision,
+    Snapshot, SnapshotError, StoreHandle, StoreRecovery, StoreStats, SupervisorPolicy,
+    SwapCrashPoint, SwapError, SwapFault, SwapOutcome, SwapReport,
 };
 pub use msa_optimizer::{
     propose_replan, Algorithm, AllocStrategy, ClusterHandling, Configuration, Plan, Planner,

@@ -102,7 +102,8 @@ pub struct RuntimeOptions {
     pub clustering: ClusterHandling,
     /// The adaptive loop's knobs.
     pub policy: RuntimePolicy,
-    /// Deployment-wide durability (required for swap crash drills).
+    /// Every shard checkpoints into a fresh in-memory store (required
+    /// for swap crash drills).
     pub durable: bool,
     /// Overload guard policy, applied per shard with budget shares.
     pub guard: Option<GuardPolicy>,

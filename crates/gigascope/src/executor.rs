@@ -390,7 +390,10 @@ pub struct ExecutorConfig {
     pub faults: Option<FaultPlan>,
     /// Overload-guard policy, if enabled.
     pub guard: Option<GuardPolicy>,
-    /// Enable the write-ahead eviction log plus boundary checkpoints.
+    /// Checkpoint into a [`StoreHandle`]: every boundary commits a
+    /// generation and every delivery appends to its write-ahead log.
+    /// Without [`Executor::with_store`] the store is a fresh in-memory
+    /// one (`SimBackend`).
     pub durable: bool,
     /// Armed crash fuses.
     pub crash: CrashPlan,
@@ -430,7 +433,10 @@ impl ExecutorConfig {
             ex = ex.with_guard(policy);
         }
         if self.durable {
-            ex = ex.with_eviction_log().with_snapshots();
+            // A fault-free `SimBackend` cannot refuse to open.
+            if let Ok(store) = StoreHandle::in_memory() {
+                ex = ex.with_store(store);
+            }
         }
         if !self.crash.is_none() {
             ex = ex.with_crash(self.crash);
@@ -477,23 +483,21 @@ pub struct Executor {
     /// before a crash (via the replayed log); re-processing skips their
     /// HFTA application and log append — the exactly-once rule.
     dedup_until: u64,
-    /// Write-ahead eviction log, when durability is enabled.
-    wal: Option<EvictionLog>,
-    /// Take a checkpoint at every epoch boundary.
-    auto_snapshot: bool,
-    /// The most recent boundary checkpoint (the durable one a crash
-    /// leaves behind).
-    latest_snapshot: Option<Box<Snapshot>>,
     /// Armed crash fuses.
     crash: CrashPlan,
     /// A fuse fired: the executor is inert (simulated dead process).
     crashed: bool,
-    /// Generational checkpoint store, when real durability is wired in:
-    /// boundary checkpoints commit here and WAL appends mirror here.
+    /// Generational checkpoint store, the only durability path:
+    /// boundary checkpoints commit here and every delivery appends to
+    /// its write-ahead log.
     store: Option<StoreHandle>,
-    /// A store operation failed past its retry budget: stop writing,
-    /// keep running on in-memory artifacts (graceful degradation — a
-    /// later recovery falls back to the last committed generation and
+    /// `(epoch, records_hwm)` of the last checkpoint the store
+    /// committed. Set only when a commit succeeds, so it never names
+    /// state a crash would not find on the store.
+    committed: Option<(u64, u64)>,
+    /// A store operation failed past its retry budget: stop writing and
+    /// keep running without durability (graceful degradation — a later
+    /// recovery falls back to the last committed generation and
     /// accounts the gap explicitly).
     store_broken: bool,
 }
@@ -556,12 +560,10 @@ impl Executor {
             seed,
             seq: 0,
             dedup_until: 0,
-            wal: None,
-            auto_snapshot: false,
-            latest_snapshot: None,
             crash: CrashPlan::none(),
             crashed: false,
             store: None,
+            committed: None,
             store_broken: false,
         }
     }
@@ -623,37 +625,15 @@ impl Executor {
         self
     }
 
-    /// Enables the write-ahead eviction log: every LFTA → HFTA delivery
-    /// is logged (with its sequence number and delivered copy count)
-    /// *before* the HFTA applies it, so a crash can replay the open
-    /// epoch's deliveries exactly once.
-    pub fn with_eviction_log(mut self) -> Executor {
-        self.wal = Some(EvictionLog::new());
-        self
-    }
-
-    /// Enables automatic checkpoints: a [`Snapshot`] is captured at
-    /// every epoch boundary (and once lazily before the first record),
-    /// and the write-ahead log is truncated to the entries the latest
-    /// checkpoint does not already cover.
-    pub fn with_snapshots(mut self) -> Executor {
-        self.auto_snapshot = true;
-        self
-    }
-
-    /// Attaches a generational checkpoint store: boundary checkpoints
-    /// commit to it (atomically, behind the A/B manifest) and every WAL
-    /// append mirrors into its current generation's segments. Implies
-    /// [`Executor::with_eviction_log`] and [`Executor::with_snapshots`];
-    /// on an executor that just [`Executor::recover`]ed, the replayed
-    /// log is kept. Store failures never panic the pipeline: past the
+    /// Attaches a generational checkpoint store: a [`Snapshot`] commits
+    /// to it at every epoch boundary (and once before the first record,
+    /// the genesis checkpoint), and every LFTA → HFTA delivery appends
+    /// to the committed generation's write-ahead log *before* the HFTA
+    /// applies it, so a crash can replay the open epoch's deliveries
+    /// exactly once. Store failures never panic the pipeline: past the
     /// retry budget the executor latches [`Executor::store_degraded`]
-    /// and continues on in-memory artifacts.
+    /// and runs on without durability.
     pub fn with_store(mut self, store: StoreHandle) -> Executor {
-        if self.wal.is_none() {
-            self.wal = Some(EvictionLog::new());
-        }
-        self.auto_snapshot = true;
         self.store = Some(store);
         self.store_broken = false;
         self
@@ -666,15 +646,15 @@ impl Executor {
     }
 
     /// True once a store operation failed past its retry budget and the
-    /// executor fell back to in-memory artifacts only.
+    /// executor stopped writing to it.
     pub fn store_degraded(&self) -> bool {
         self.store_broken
     }
 
     /// Arms crash fuses (see [`CrashPlan`]). When a fuse fires the
     /// executor becomes inert, exactly as if the process died: no
-    /// farewell flush, no final snapshot — only the durable artifacts
-    /// remain (see [`Executor::durable_state`]).
+    /// farewell flush, no final snapshot — only what the store committed
+    /// remains (see [`StoreHandle::recover_executor`]).
     pub fn with_crash(mut self, crash: CrashPlan) -> Executor {
         self.crash = crash;
         self
@@ -738,14 +718,14 @@ impl Executor {
     /// Applies one channel delivery event to the HFTA under the
     /// exactly-once rule: the event gets the next sequence number; if it
     /// is new (past the replayed-log high-water mark) it is logged
-    /// write-ahead and applied, otherwise the replay already applied it
-    /// and only the sequence counter advances.
+    /// write-ahead to the store and applied, otherwise the replay
+    /// already applied it and only the sequence counter advances.
     fn deliver(&mut self, slot: usize, key: GroupKey, agg: AggState, copies: u8) {
         self.seq += 1;
         if self.seq <= self.dedup_until {
             return;
         }
-        if let Some(wal) = &mut self.wal {
+        if let Some(store) = self.store.as_ref().filter(|_| !self.store_broken) {
             let entry = LogEntry {
                 epoch: self.current_epoch,
                 seq: self.seq,
@@ -754,13 +734,8 @@ impl Executor {
                 key,
                 agg,
             };
-            wal.append(entry);
-            if !self.store_broken {
-                if let Some(store) = &self.store {
-                    if store.append_entry(&entry).is_err() {
-                        self.store_broken = true;
-                    }
-                }
+            if store.append_entry(&entry).is_err() {
+                self.store_broken = true;
             }
         }
         for _ in 0..copies {
@@ -768,33 +743,40 @@ impl Executor {
         }
     }
 
-    /// Commits a boundary checkpoint to the attached store, degrading
-    /// (never panicking) past the retry budget: the run continues on
-    /// in-memory artifacts and recovery falls back to the last good
-    /// generation with the gap accounted as stale-fallback loss.
-    fn store_commit(&mut self, snap: &Snapshot) {
-        if self.store_broken {
-            return;
-        }
-        if let Some(store) = &self.store {
-            if store.commit(snap).is_err() {
-                self.store_broken = true;
-            }
+    /// Commits the boundary state to the attached store, degrading
+    /// (never panicking) past the retry budget: the run continues and
+    /// recovery falls back to the last good generation with the gap
+    /// accounted as stale-fallback loss.
+    fn checkpoint(&mut self) {
+        if !self.store_broken && self.commit_handoff().is_err() {
+            self.store_broken = true;
         }
     }
 
-    /// Persists the current boundary state to the attached store as the
-    /// durable commit of a hot-swap handoff. Unlike the run-time hooks
-    /// this *surfaces* the failure instead of latching degraded: the
-    /// swap transaction must roll back when its commit cannot be made
-    /// durable. A no-op `Ok` without a store.
+    /// Genesis checkpoint: before the first record everything is at an
+    /// epoch boundary by construction, so a crash ahead of the first
+    /// real boundary still has something to recover from. A store
+    /// attached mid-epoch (after a storeless recovery) waits for the
+    /// next boundary instead.
+    #[inline]
+    fn genesis_checkpoint(&mut self) {
+        if self.committed.is_none() && !self.store_broken && self.store.is_some() {
+            self.refresh_boundary_checkpoint();
+        }
+    }
+
+    /// Commits the current boundary state to the attached store and
+    /// records it as the last commit. Used directly as the durable
+    /// commit of a hot-swap handoff, where the failure must *surface*
+    /// (the swap rolls back) instead of latching degraded. A no-op `Ok`
+    /// without a store.
     pub(crate) fn commit_handoff(&mut self) -> Result<(), msa_stream::store::StoreError> {
-        let Some(store) = self.store.clone() else {
+        let Some(store) = &self.store else {
             return Ok(());
         };
         let snap = self.make_snapshot();
         store.commit(&snap)?;
-        self.latest_snapshot = Some(Box::new(snap));
+        self.committed = Some((snap.epoch, snap.records_hwm));
         Ok(())
     }
 
@@ -873,14 +855,7 @@ impl Executor {
         if self.crashed {
             return;
         }
-        // Genesis checkpoint: before the first record everything is at
-        // an epoch boundary by construction, so a crash ahead of the
-        // first real boundary still has something to recover from.
-        if self.auto_snapshot && self.latest_snapshot.is_none() {
-            let snap = self.make_snapshot();
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
-        }
+        self.genesis_checkpoint();
         // Crash fuse: dies before processing record `at_record`.
         if let Some(n) = self.crash.at_record {
             if self.report.records >= n {
@@ -985,11 +960,7 @@ impl Executor {
             if self.crashed {
                 return;
             }
-            if self.auto_snapshot && self.latest_snapshot.is_none() {
-                let snap = self.make_snapshot();
-                self.store_commit(&snap);
-                self.latest_snapshot = Some(Box::new(snap));
-            }
+            self.genesis_checkpoint();
             // Crash fuse first, then epoch flushes: the scalar path
             // checks `at_record` *before* closing epochs.
             if let Some(n) = self.crash.at_record {
@@ -1272,17 +1243,7 @@ impl Executor {
                 self.report.bound_breached = true;
             }
         }
-        if self.auto_snapshot {
-            let snap = self.make_snapshot();
-            if let Some(wal) = &mut self.wal {
-                // Checkpoint truncation: the snapshot covers every
-                // delivery up to `snap.seq`, so only the (empty, at a
-                // boundary) suffix needs to stay durable.
-                *wal = EvictionLog::from_entries(wal.suffix(snap.seq).copied().collect());
-            }
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
-        }
+        self.checkpoint();
     }
 
     fn fingerprint(&self) -> u64 {
@@ -1330,16 +1291,12 @@ impl Executor {
         Ok(self.make_snapshot())
     }
 
-    /// The most recent boundary checkpoint (see
-    /// [`Executor::with_snapshots`]).
-    pub fn latest_snapshot(&self) -> Option<&Snapshot> {
-        self.latest_snapshot.as_deref()
-    }
-
-    /// The write-ahead eviction log (see
-    /// [`Executor::with_eviction_log`]).
-    pub fn eviction_log(&self) -> Option<&EvictionLog> {
-        self.wal.as_ref()
+    /// `(epoch, records_hwm)` of the last checkpoint the attached store
+    /// committed — the newest state a crash recovers, and the point
+    /// below which no record is ever replayed again. `None` before the
+    /// first successful commit.
+    pub fn last_commit(&self) -> Option<(u64, u64)> {
+        self.committed
     }
 
     /// True once a crash fuse has fired; the executor is then inert.
@@ -1464,15 +1421,6 @@ impl Executor {
         }
     }
 
-    /// What a crash leaves behind: the latest boundary checkpoint plus
-    /// the write-ahead log (the durable artifacts recovery consumes).
-    /// `None` before the first checkpoint exists.
-    pub fn durable_state(&self) -> Option<(Snapshot, EvictionLog)> {
-        let snap = self.latest_snapshot.as_deref()?.clone();
-        let log = self.wal.clone().unwrap_or_default();
-        Some((snap, log))
-    }
-
     /// Restores a crashed run into this freshly built executor.
     ///
     /// `self` must be configured identically to the crashed executor
@@ -1493,10 +1441,53 @@ impl Executor {
     /// Determinism of the pipeline (seeded hashes, restored PRNG and
     /// shed cursors) then makes the resumed run bit-identical to a run
     /// that never crashed.
-    pub fn recover(
+    ///
+    /// With a store attached (a `durable` recipe, or
+    /// [`Executor::with_store`] before this call) the recovered state is
+    /// made durable there first: the snapshot commits as a new
+    /// generation and the log suffix is re-appended behind it. Only if
+    /// that succeeds does [`Executor::last_commit`] name the snapshot;
+    /// otherwise the executor runs on degraded. Artifacts read out of a
+    /// store are recovered with [`StoreHandle::recover_executor`]
+    /// instead, which re-attaches that store without a second commit.
+    pub fn recover(self, snapshot: &Snapshot, log: EvictionLog) -> Result<Executor, RecoveryError> {
+        let mut ex = self.restore(snapshot, &log)?;
+        if let Some(store) = ex.store.clone().filter(|_| !ex.store_broken) {
+            let persisted = store.commit(snapshot).and_then(|()| {
+                log.suffix(snapshot.seq)
+                    .try_for_each(|e| store.append_entry(e))
+            });
+            match persisted {
+                Ok(()) => ex.committed = Some((snapshot.epoch, snapshot.records_hwm)),
+                Err(_) => ex.store_broken = true,
+            }
+        }
+        Ok(ex)
+    }
+
+    /// Recovers from artifacts read out of `store`'s newest generation.
+    /// They are durable there already, so `store` is attached as is and
+    /// the snapshot is the last commit.
+    pub(crate) fn recover_onto(
+        self,
+        store: StoreHandle,
+        snapshot: &Snapshot,
+        log: &EvictionLog,
+    ) -> Result<Executor, RecoveryError> {
+        let mut ex = self.restore(snapshot, log)?;
+        ex.store = Some(store);
+        ex.store_broken = false;
+        ex.committed = Some((snapshot.epoch, snapshot.records_hwm));
+        Ok(ex)
+    }
+
+    /// The replay core of [`Executor::recover`]: validation, boundary
+    /// restore and log replay. Leaves the store and the commit marker
+    /// to the caller.
+    fn restore(
         mut self,
         snapshot: &Snapshot,
-        log: EvictionLog,
+        log: &EvictionLog,
     ) -> Result<Executor, RecoveryError> {
         let expected = self.fingerprint();
         if snapshot.plan_fingerprint != expected {
@@ -1553,9 +1544,7 @@ impl Executor {
                 self.hfta.receive(e.slot as usize, e.key, e.agg);
             }
         }
-        self.wal = Some(log);
-        self.auto_snapshot = true;
-        self.latest_snapshot = Some(Box::new(snapshot.clone()));
+        self.committed = None;
         self.crashed = false;
         Ok(self)
     }
@@ -1648,21 +1637,12 @@ impl Executor {
         &self.hfta
     }
 
-    /// Swap hook: re-captures the boundary checkpoint so counters bumped
-    /// *at* the boundary (the swap ledger) reach the durable artifacts a
-    /// crash would recover from. A no-op unless checkpoints are enabled
-    /// and the executor sits exactly at a boundary.
+    /// Swap hook: re-commits the boundary checkpoint so counters bumped
+    /// *at* the boundary (the swap ledger) reach the store a crash would
+    /// recover from. A no-op without a store or off a boundary.
     pub(crate) fn refresh_boundary_checkpoint(&mut self) {
-        if self.auto_snapshot
-            && self.tables.iter().all(|t| t.occupied() == 0)
-            && self.hfta.in_flight() == 0
-        {
-            let snap = self.make_snapshot();
-            if let Some(wal) = &mut self.wal {
-                *wal = EvictionLog::from_entries(wal.suffix(snap.seq).copied().collect());
-            }
-            self.store_commit(&snap);
-            self.latest_snapshot = Some(Box::new(snap));
+        if self.tables.iter().all(|t| t.occupied() == 0) && self.hfta.in_flight() == 0 {
+            self.checkpoint();
         }
     }
 
@@ -1708,16 +1688,6 @@ impl Executor {
         self.duplicated_mark = snapshot.duplicated_mark;
         self.seq = snapshot.seq;
         self.dedup_until = snapshot.seq;
-        if self.auto_snapshot {
-            // Re-anchor the durable artifacts under the new plan's
-            // fingerprint: a crash right after the commit must recover
-            // into the new plan, not find an orphaned old-plan
-            // checkpoint.
-            self.latest_snapshot = Some(Box::new(self.make_snapshot()));
-            if let Some(wal) = &mut self.wal {
-                *wal = EvictionLog::new();
-            }
-        }
         self
     }
 }
@@ -2325,8 +2295,7 @@ mod tests {
         let mut chained = Executor::new(small_phantom_plan(), CostParams::paper(), 500_000, 17)
             .with_faults(&faults)
             .with_guard(GuardPolicy::new(5_000.0))
-            .with_eviction_log()
-            .with_snapshots();
+            .with_store(StoreHandle::in_memory().unwrap());
         from_cfg.run(&recs);
         chained.run(&recs);
         let (ra, ha) = from_cfg.finish();

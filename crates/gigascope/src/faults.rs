@@ -47,8 +47,9 @@ pub struct Burst {
 
 /// A declarative crash point: the executor halts *as if the process
 /// died* — no flush, no epoch close, no farewell snapshot — leaving
-/// only the durable artifacts (last boundary snapshot + write-ahead
-/// eviction log) for [`Executor::recover`](crate::Executor::recover).
+/// only what its checkpoint store committed (last boundary snapshot +
+/// write-ahead eviction log) for
+/// [`StoreHandle::recover_executor`](crate::StoreHandle::recover_executor).
 ///
 /// Both fuses count *absolute* positions (record index since run start,
 /// eviction offers since run start), so a crash point measured on a

@@ -85,9 +85,7 @@ pub use guard::{
 pub use hfta::Hfta;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use shard::{shard_of, shard_seed, IngestMode, ShardError, ShardedExecutor};
-pub use snapshot::{
-    EvictionLog, LogEntry, RecoveryError, ShardedSnapshot, Snapshot, SnapshotError,
-};
+pub use snapshot::{EvictionLog, LogEntry, RecoveryError, Snapshot, SnapshotError};
 pub use store::{
     CheckpointStore, RecoveredArtifacts, ScrubReport, StoreHandle, StoreRecovery, StoreStats,
 };

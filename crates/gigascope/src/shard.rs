@@ -30,7 +30,6 @@ use crate::faults::{CrashPlan, FaultPlan, ShardFault};
 use crate::guard::{DegradationPolicy, GuardPolicy};
 use crate::hfta::Hfta;
 use crate::plan::PhysicalPlan;
-use crate::snapshot::{EvictionLog, RecoveryError, ShardedSnapshot, Snapshot};
 use crate::store::StoreHandle;
 use crate::supervise::{
     PoisonRecord, ShardDriver, ShardHealth, ShardHeartbeat, ShardState, SupervisorPolicy,
@@ -146,9 +145,9 @@ pub struct ShardedExecutor {
     shard_faults: Vec<ShardFault>,
     policy: SupervisorPolicy,
     ingest: IngestMode,
-    /// Per-shard durable stores (empty = in-memory durability only).
-    /// Shard `k` persists through `stores[k]`; a deployment may attach
-    /// fewer stores than shards, leaving the tail un-stored.
+    /// Explicit per-shard stores: shard `k` persists through
+    /// `stores[k]`. A durable shard past the end of the list
+    /// checkpoints into a fresh in-memory store of its own.
     stores: Vec<StoreHandle>,
     shards: Vec<Executor>,
     health: Vec<ShardHealth>,
@@ -279,8 +278,9 @@ impl ShardedExecutor {
         self
     }
 
-    /// Enables the write-ahead eviction log and boundary checkpoints on
-    /// every shard.
+    /// Makes every shard durable: each checkpoints into a fresh
+    /// in-memory store (see [`ExecutorConfig::durable`]) unless
+    /// [`ShardedExecutor::with_stores`] names one.
     pub fn with_durability(mut self) -> ShardedExecutor {
         self.config.durable = true;
         self.rebuild();
@@ -292,7 +292,7 @@ impl ShardedExecutor {
     /// `stores[k]`, supervised restarts recover from it with
     /// generation fallback, and hot-swaps commit their handoff through
     /// it. Extra handles beyond the shard count are ignored; with fewer
-    /// handles the tail shards keep in-memory durability only.
+    /// handles the tail shards checkpoint into in-memory stores.
     pub fn with_stores(mut self, stores: Vec<StoreHandle>) -> ShardedExecutor {
         self.config.durable = true;
         self.stores = stores;
@@ -651,65 +651,18 @@ impl ShardedExecutor {
         stats
     }
 
-    /// Shard `k`'s durable artifacts (see [`Executor::durable_state`]).
-    pub fn durable_state(&self, k: usize) -> Option<(Snapshot, EvictionLog)> {
-        self.shards[k].durable_state()
-    }
-
-    /// The deployment-wide checkpoint: every shard's latest boundary
-    /// snapshot under one shard-count header. `None` until every shard
-    /// has checkpointed at least once.
-    pub fn durable_snapshot(&self) -> Option<ShardedSnapshot> {
-        let mut shards = Vec::with_capacity(self.n);
-        for ex in &self.shards {
-            shards.push(ex.latest_snapshot()?.clone());
-        }
-        Some(ShardedSnapshot { shards })
-    }
-
-    /// Recovers crashed shard `k` from its durable artifacts and
-    /// re-feeds it the tail of its partition of `records` (the full
-    /// stream the deployment was running when the shard died), from
-    /// the snapshot's record high-water mark. The recovered shard is
-    /// then bit-identical to one that never crashed — the exactly-once
-    /// replay rule of [`Executor::recover`], applied per shard.
-    pub fn recover_shard(
-        &mut self,
-        k: usize,
-        snapshot: &Snapshot,
-        log: EvictionLog,
-        records: &[Record],
-    ) -> Result<(), RecoveryError> {
-        let mut cfg = self.shard_config(k);
-        cfg.crash = CrashPlan::none();
-        let mut ex = cfg.build().recover(snapshot, log)?;
-        if let Some(store) = self.stores.get(k) {
-            ex = ex.with_store(store.clone());
-        }
-        let part: Vec<Record> = records
-            .iter()
-            .filter(|r| shard_of(self.config.seed, r, self.n) == k)
-            .copied()
-            .collect();
-        let resume_at = usize::try_from(snapshot.records_hwm)
-            .unwrap_or(part.len())
-            .min(part.len());
-        ex.run(&part[resume_at..]);
-        self.shards[k] = ex;
-        self.crashes[k] = CrashPlan::none();
-        Ok(())
-    }
-
-    /// Recovers crashed shard `k` from its attached durable store —
-    /// the newest readable generation, falling back past (and
-    /// quarantining) corrupt ones — then re-feeds the tail of its
-    /// partition of `records` from the recovered high-water mark. When
-    /// no generation is readable the shard restarts fresh and replays
-    /// its whole partition. Returns the number of generation fallbacks
-    /// taken (0 = recovered bit-identically from the newest
-    /// checkpoint), or `None` when shard `k` has no store attached.
+    /// Recovers crashed shard `k` from its store — the newest readable
+    /// generation, falling back past (and quarantining) corrupt ones —
+    /// then re-feeds the tail of its partition of `records` (the full
+    /// stream the deployment was running when the shard died) from the
+    /// recovered high-water mark. The exactly-once replay rule of
+    /// [`Executor::recover`] makes the recovered shard bit-identical to
+    /// one that never crashed. When no generation is readable the shard
+    /// restarts fresh and replays its whole partition. Returns the
+    /// number of generation fallbacks taken (0 = recovered from the
+    /// newest checkpoint), or `None` when shard `k` is not durable.
     pub fn recover_shard_from_store(&mut self, k: usize, records: &[Record]) -> Option<u64> {
-        let store = self.stores.get(k)?.clone();
+        let store = self.shards.get(k)?.store_handle()?;
         let mut cfg = self.shard_config(k);
         cfg.crash = CrashPlan::none();
         let recovery = store.recover_executor(&cfg);
@@ -833,14 +786,12 @@ impl ShardedExecutor {
             }
         }
         if fault.crash.is_some() {
-            // A drill crash recovers from durable artifacts only;
-            // refuse to run if any shard's checkpoint lags the quiesce
-            // boundary (recovery would silently lose committed work).
+            // A drill crash recovers from the stores only; refuse to run
+            // if any shard's last committed checkpoint lags the quiesce
+            // boundary (recovery would silently lose work, or a degraded
+            // store would be trusted with state it never made durable).
             for (k, ex) in self.shards.iter().enumerate() {
-                let current = ex
-                    .latest_snapshot()
-                    .is_some_and(|s| s.epoch == epoch && s.records_hwm == ex.report().records);
-                if !current {
+                if ex.last_commit() != Some((epoch, ex.report().records)) {
                     return Err(SwapError::StaleCheckpoint { shard: k });
                 }
             }
@@ -859,12 +810,12 @@ impl ShardedExecutor {
         for (k, snap) in snaps.iter().enumerate() {
             let cfg = self.shard_config_for(&new_plan, k);
             let mut ex = cfg.build();
-            if let Some(store) = self.stores.get(k) {
+            if let Some(store) = self.shards[k].store_handle() {
                 // The store rides along *before* adoption so the commit
                 // phase can persist the handoff — but adoption itself
                 // never writes to it: a rollback must leave the store
                 // exactly as the old plan left it.
-                ex = ex.with_store(store.clone());
+                ex = ex.with_store(store);
             }
             new_shards.push(ex.adopt_boundary_state(snap));
         }
@@ -904,7 +855,7 @@ impl ShardedExecutor {
         }
         if fault.crash == Some(SwapCrashPoint::BeforeCommit) {
             // The validated new shards die with the process; only the
-            // old plan's durable artifacts exist.
+            // old plan's committed checkpoints exist.
             drop(new_shards);
             return self.recover_old_after_crash(epoch);
         }
@@ -935,14 +886,19 @@ impl ShardedExecutor {
                 return Err(SwapError::DurableCommit { shard: k, error });
             }
         }
-        if let Some(ex) = new_shards.first_mut() {
-            // Store-backed shards just checkpointed inside
-            // `commit_handoff`; only the in-memory path still needs its
-            // boundary refresh.
-            if ex.store_handle().is_none() {
-                ex.refresh_boundary_checkpoint();
+        let after_crash = fault.crash == Some(SwapCrashPoint::AfterCommit);
+        let new_shards = if after_crash {
+            // The crash lands right after the commit point: the new
+            // deployment is whatever the stores give back. Recover it
+            // before installing anything, so a store that cannot leaves
+            // the old plan serving.
+            match self.recover_from_stores(&new_plan, epoch) {
+                Ok(recovered) => recovered,
+                Err(e) => return Err(self.drill_failed(e)),
             }
-        }
+        } else {
+            new_shards
+        };
         let new_queries: Vec<AttrSet> = new_shards
             .first()
             .map(|ex| ex.queries().to_vec())
@@ -954,55 +910,70 @@ impl ShardedExecutor {
         }
         self.retired.retain(|q| !new_queries.contains(q));
         self.shards = new_shards;
-        self.config.plan = new_plan;
-        if fault.crash == Some(SwapCrashPoint::AfterCommit) {
-            for k in 0..self.n {
-                let (snap, log) = self.shards[k]
-                    .durable_state()
-                    .ok_or(SwapError::StaleCheckpoint { shard: k })?;
-                let mut cfg = self.shard_config(k);
-                cfg.crash = CrashPlan::none();
-                self.crashes[k] = CrashPlan::none();
-                let mut ex = cfg.build().recover(&snap, log)?;
-                if let Some(store) = self.stores.get(k) {
-                    ex = ex.with_store(store.clone());
-                }
-                self.shards[k] = ex;
-            }
-            for hb in &self.heartbeats {
-                hb.publish(ShardState::Healthy);
-            }
-            return Ok(SwapReport {
-                epoch,
-                outcome: SwapOutcome::CommittedAfterCrash,
-            });
+        if after_crash {
+            // Drill-recovered shards come back with their fuses spent.
+            self.crashes = vec![CrashPlan::none(); self.n];
         }
+        self.config.plan = new_plan;
         for hb in &self.heartbeats {
             hb.publish(ShardState::Healthy);
         }
         Ok(SwapReport {
             epoch,
-            outcome: SwapOutcome::Committed,
+            outcome: if after_crash {
+                SwapOutcome::CommittedAfterCrash
+            } else {
+                SwapOutcome::Committed
+            },
         })
     }
 
-    /// Completes a pre-commit crash drill: rebuilds every shard from
-    /// its durable artifacts (the old plan's boundary checkpoint — the
-    /// only state a real crash leaves) and ticks the rollback counter.
-    fn recover_old_after_crash(&mut self, epoch: u64) -> Result<SwapReport, SwapError> {
-        for k in 0..self.n {
-            let (snap, log) = self.shards[k]
-                .durable_state()
-                .ok_or(SwapError::StaleCheckpoint { shard: k })?;
-            let mut cfg = self.shard_config(k);
+    /// A swap drill's crash: rebuilds every shard of `plan` from the
+    /// newest generation of its store — the only state a real crash
+    /// leaves — and checks that it is the `epoch` boundary the shard
+    /// was at. Installs nothing: one shard that cannot be rebuilt fails
+    /// the whole drill.
+    fn recover_from_stores(
+        &self,
+        plan: &PhysicalPlan,
+        epoch: u64,
+    ) -> Result<Vec<Executor>, SwapError> {
+        let mut recovered = Vec::with_capacity(self.n);
+        for (k, old) in self.shards.iter().enumerate() {
+            let stale = || SwapError::StaleCheckpoint { shard: k };
+            let store = old.store_handle().ok_or_else(stale)?;
+            let mut cfg = self.shard_config_for(plan, k);
             cfg.crash = CrashPlan::none();
-            self.crashes[k] = CrashPlan::none();
-            let mut ex = cfg.build().recover(&snap, log)?;
-            if let Some(store) = self.stores.get(k) {
-                ex = ex.with_store(store.clone());
+            let recovery = store.recover_executor(&cfg);
+            let ex = recovery.executor.ok_or_else(stale)?;
+            if (ex.current_epoch(), recovery.records_hwm) != (epoch, old.report().records) {
+                return Err(stale());
             }
-            self.shards[k] = ex;
+            recovered.push(ex);
         }
+        Ok(recovered)
+    }
+
+    /// A crash drill whose recovery failed: the deployment is as the
+    /// swap found it, so the pulse returns to healthy and the error
+    /// passes through.
+    fn drill_failed(&self, error: SwapError) -> SwapError {
+        for hb in &self.heartbeats {
+            hb.publish(ShardState::Healthy);
+        }
+        error
+    }
+
+    /// Completes a pre-commit crash drill: rebuilds every shard from
+    /// its store (the old plan's boundary checkpoint) and ticks the
+    /// rollback counter.
+    fn recover_old_after_crash(&mut self, epoch: u64) -> Result<SwapReport, SwapError> {
+        let recovered = match self.recover_from_stores(&self.config.plan, epoch) {
+            Ok(recovered) => recovered,
+            Err(e) => return Err(self.drill_failed(e)),
+        };
+        self.shards = recovered;
+        self.crashes = vec![CrashPlan::none(); self.n];
         if let Some(ex) = self.shards.first_mut() {
             ex.note_replan_rolled_back();
             ex.refresh_boundary_checkpoint();

@@ -827,12 +827,15 @@ impl StoreHandle {
             match loaded {
                 Ok(Some(artifacts)) => {
                     torn += artifacts.torn_entries_dropped;
-                    match cfg.build().recover(&artifacts.snapshot, artifacts.log) {
+                    let recovered =
+                        cfg.build()
+                            .recover_onto(self.clone(), &artifacts.snapshot, &artifacts.log);
+                    match recovered {
                         Ok(ex) => {
                             return StoreRecovery {
                                 records_hwm: artifacts.snapshot.records_hwm,
                                 generation: artifacts.generation,
-                                executor: Some(ex.with_store(self.clone())),
+                                executor: Some(ex),
                                 fallbacks: self.stats().fallbacks - start_fallbacks,
                                 torn_entries_dropped: torn,
                             };
@@ -1027,7 +1030,7 @@ mod tests {
         let mut ex = config().build().with_store(handle.clone());
         ex.run(&records(60));
         // ENOSPC is terminal for the store, not the pipeline: the
-        // executor degrades to in-memory artifacts and keeps running.
+        // executor stops writing to the store and keeps running.
         assert!(ex.store_degraded());
         assert_eq!(ex.report().records, 60);
     }

@@ -269,10 +269,6 @@ pub(crate) struct ShardDriver {
     fault: ShardFault,
     policy: SupervisorPolicy,
     heartbeat: std::sync::Arc<ShardHeartbeat>,
-    /// The shard's durable store, when one is attached: restarts then
-    /// recover from persisted generations (with fallback) instead of
-    /// the executor's in-memory artifacts.
-    store: Option<StoreHandle>,
     queries: Vec<AttrSet>,
     /// Replay buffer holding shard-local records `[buf_start, received)`.
     buf: VecDeque<Record>,
@@ -311,7 +307,6 @@ impl ShardDriver {
         install_quiet_hook();
         heartbeat.publish(ShardState::Healthy);
         let queries = cfg.plan.query_attrs();
-        let store = ex.store_handle();
         ShardDriver {
             shard,
             cfg,
@@ -319,7 +314,6 @@ impl ShardDriver {
             fault,
             policy,
             heartbeat,
-            store,
             queries,
             buf: VecDeque::new(),
             buf_start: 0,
@@ -557,19 +551,17 @@ impl ShardDriver {
         self.restart();
     }
 
-    /// Rebuilds the shard from its latest epoch-aligned snapshot +
-    /// eviction log and rewinds consumption to replay the tail from the
+    /// Rebuilds the shard from its store's newest epoch-aligned
+    /// checkpoint and rewinds consumption to replay the tail from the
     /// buffer. Where the buffer no longer reaches the checkpoint, the
     /// gap is absorbed as explicit degradation instead of aborting.
     fn restart(&mut self) {
         self.heartbeat.publish(ShardState::Restarting);
         self.health.restarts += 1;
-        let (mut ex, hwm, stale) = match &self.store {
-            Some(store) => self.restart_from_store(store.clone()),
-            None => {
-                let (ex, hwm) = self.restart_in_memory();
-                (ex, hwm, false)
-            }
+        let (mut ex, hwm, stale) = match self.ex.store_handle() {
+            Some(store) => self.restart_from_store(store),
+            // Nothing is durable: start fresh and replay the buffer.
+            None => (self.cfg.build(), 0, false),
         };
         ex.note_restart();
         let resume = hwm.max(self.buf_start);
@@ -589,78 +581,50 @@ impl ShardDriver {
         self.heartbeat.publish(ShardState::Healthy);
     }
 
-    /// Store-first restart: recover from the newest readable durable
-    /// generation, degrading to older ones (quarantining corrupt
-    /// candidates) as [`StoreHandle::recover_executor`] dictates.
-    /// Returns `(executor, hwm, stale)` where `stale` reports whether
-    /// any fallback happened — it decides which loss class an
-    /// uncovered replay gap lands in.
+    /// Recovers from the newest readable generation, degrading to older
+    /// ones (quarantining corrupt candidates) as
+    /// [`StoreHandle::recover_executor`] dictates. Returns
+    /// `(executor, hwm, stale)` where `stale` reports whether any
+    /// fallback happened — it decides which loss class an uncovered
+    /// replay gap lands in.
     fn restart_from_store(&self, store: StoreHandle) -> (Executor, u64, bool) {
         let recovery = store.recover_executor(&self.cfg);
         let stale = recovery.fallbacks > 0;
+        let hwm = recovery.records_hwm;
         match recovery.executor {
-            Some(ex) => {
-                let hwm = recovery.records_hwm;
-                if self.buf_start > hwm {
-                    // Same rule as the in-memory path: a gap means the
-                    // recovered WAL's open-epoch suffix would smuggle
-                    // lost records' contributions back in, so re-recover
-                    // the bare boundary state.
-                    let snap = match ex.latest_snapshot() {
-                        Some(snap) => snap.clone(),
-                        None => return (ex, hwm, stale),
-                    };
-                    match self.cfg.build().recover(&snap, EvictionLog::new()) {
-                        Ok(bare) => (bare.with_store(store), hwm, stale),
-                        Err(_) => (ex, hwm, stale),
-                    }
-                } else {
-                    (ex, hwm, stale)
+            // If the replay buffer no longer reaches the checkpoint,
+            // recover the bare boundary state: the write-ahead log holds
+            // mid-epoch evictions from the very records the gap declares
+            // lost, and replaying it would smuggle part of their
+            // contribution back in — making the degradation ledger
+            // overcount the loss. Dropping the open-epoch suffix keeps
+            // `records_unreplayed` exact: every gap record is wholly
+            // lost, every buffered record is wholly re-processed. The
+            // ladder above already settled on the generation, so this
+            // reads the same one again.
+            Some(ex) if self.buf_start > hwm => match store.recover_artifacts() {
+                Ok(Some(art)) => {
+                    let bare =
+                        self.cfg
+                            .build()
+                            .recover_onto(store, &art.snapshot, &EvictionLog::new());
+                    bare.map_or((ex, hwm, stale), |bare| (bare, hwm, stale))
                 }
-            }
+                _ => (ex, hwm, stale),
+            },
+            Some(ex) => (ex, hwm, stale),
             // Nothing durable was readable: start fresh with the store
             // re-attached so a genesis checkpoint re-seeds durability.
             None => (self.cfg.build().with_store(store), 0, stale),
         }
     }
 
-    /// Legacy in-memory restart from the dead executor's own artifacts.
-    fn restart_in_memory(&self) -> (Executor, u64) {
-        match self.ex.durable_state() {
-            Some((snap, log)) => {
-                let hwm = snap.records_hwm;
-                // If the replay buffer no longer reaches the checkpoint,
-                // recover the bare boundary state: the write-ahead log
-                // holds mid-epoch evictions from the very records the
-                // gap declares lost, and replaying it would smuggle part
-                // of their contribution back in — making the degradation
-                // ledger overcount the loss. Dropping the open-epoch
-                // suffix keeps `records_unreplayed` exact: every gap
-                // record is wholly lost, every buffered record is wholly
-                // re-processed.
-                let log = if self.buf_start > hwm {
-                    EvictionLog::new()
-                } else {
-                    log
-                };
-                match self.cfg.build().recover(&snap, log) {
-                    Ok(ex) => (ex, hwm),
-                    // Corrupt artifacts never abort a supervised shard:
-                    // fall back to a fresh build and replay what the
-                    // buffer still holds.
-                    Err(_) => (self.cfg.build(), 0),
-                }
-            }
-            None => (self.cfg.build(), 0),
-        }
-    }
-
-    /// Advances the replay buffer's floor: nothing below the latest
-    /// checkpoint's high-water mark is ever replayed again, and the
-    /// processed prefix behind the consumption point is bounded by
-    /// [`SupervisorPolicy::replay_capacity`].
+    /// Advances the replay buffer's floor: nothing below the last
+    /// committed checkpoint's high-water mark is ever replayed again,
+    /// and the processed prefix behind the consumption point is bounded
+    /// by [`SupervisorPolicy::replay_capacity`].
     fn prune(&mut self) {
-        let hwm = self.ex.latest_snapshot().map_or(0, |snap| snap.records_hwm);
+        let hwm = self.ex.last_commit().map_or(0, |(_, hwm)| hwm);
         let floor = hwm
             .max(self.consumed.saturating_sub(self.policy.replay_capacity))
             .min(self.consumed);

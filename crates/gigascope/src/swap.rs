@@ -23,13 +23,13 @@
 //!    ticks `replans_rolled_back`, and the run continues on the old
 //!    plan.
 //!
-//! A crash injected at any [`SwapCrashPoint`] recovers from durable
-//! artifacts to either the old plan (before commit) or the new plan
+//! A crash injected at any [`SwapCrashPoint`] recovers from each
+//! shard's checkpoint store to either the old plan (before commit) or the new plan
 //! (after commit) — never a torn state; `tests/adaptive.rs` proves each
 //! recovery bit-identical to an uncrashed baseline.
 
 use crate::executor::Executor;
-use crate::snapshot::{RecoveryError, Snapshot, SnapshotError};
+use crate::snapshot::{Snapshot, SnapshotError};
 use msa_stream::store::StoreError;
 use msa_stream::AttrSet;
 
@@ -129,15 +129,14 @@ pub enum RollbackReason {
 pub enum SwapOutcome {
     /// The new plan is live; `replans_committed` ticked.
     Committed,
-    /// A crash fired after the commit point; recovery from durable
-    /// artifacts resumed the *new* plan.
+    /// A crash fired after the commit point; recovery from the stores
+    /// resumed the *new* plan.
     CommittedAfterCrash,
     /// Validation failed; the old plan kept serving untouched and
     /// `replans_rolled_back` ticked.
     RolledBack(RollbackReason),
-    /// A crash fired before the commit point; recovery from durable
-    /// artifacts resumed the *old* plan and `replans_rolled_back`
-    /// ticked.
+    /// A crash fired before the commit point; recovery from the stores
+    /// resumed the *old* plan and `replans_rolled_back` ticked.
     RolledBackAfterCrash,
 }
 
@@ -162,9 +161,8 @@ pub struct SwapReport {
 }
 
 /// A hot-swap transaction that could not even reach its validation
-/// phase: the deployment was not in a swappable state, or crash
-/// recovery inside a drill failed. The old plan keeps serving in every
-/// case.
+/// phase, or whose durable commit was refused: the deployment was not
+/// in a swappable state. The old plan keeps serving in every case.
 #[derive(Debug, PartialEq)]
 pub enum SwapError {
     /// A shard's crash fuse fired earlier; recover it first.
@@ -181,17 +179,23 @@ pub enum SwapError {
         /// The divergent shard.
         shard: usize,
     },
-    /// A crash drill needs deployment-wide durability
-    /// (`with_durability`): a real crash keeps only durable artifacts.
+    /// A crash drill needs every shard to checkpoint into a store
+    /// (`with_durability` or `with_stores`): a real crash keeps only
+    /// what the stores committed.
     CrashDrillNeedsDurability,
-    /// A shard's durable checkpoint lags the quiesce boundary — a crash
-    /// there would lose committed work, so the drill refuses to run.
+    /// A shard's last committed checkpoint lags the quiesce boundary
+    /// (its store degraded, or never committed it) — a crash there
+    /// would lose work, so the drill refuses to run. Also returned when
+    /// the drill's recovery cannot read that boundary back from a
+    /// shard's store: no recovered shard is installed and the old
+    /// deployment keeps serving. At `AfterCommit` the stores then hold
+    /// the new plan's generation, which the old shards' next boundary
+    /// commit supersedes (a recovery before it falls back past it,
+    /// accounted).
     StaleCheckpoint {
         /// The lagging shard.
         shard: usize,
     },
-    /// Crash recovery failed while completing the drill.
-    Recovery(RecoveryError),
     /// The handoff validated, but a store-backed shard could not make
     /// the new plan's boundary checkpoint durable. The transaction
     /// rolled back before its commit point — the old deployment keeps
@@ -222,14 +226,13 @@ impl std::fmt::Display for SwapError {
             ),
             SwapError::CrashDrillNeedsDurability => write!(
                 f,
-                "a swap crash drill needs deployment-wide durability \
-                 (enable with_durability)"
+                "a swap crash drill needs every shard to checkpoint into a store \
+                 (enable with_durability or with_stores)"
             ),
             SwapError::StaleCheckpoint { shard } => write!(
                 f,
-                "shard {shard}'s durable checkpoint lags the quiesce boundary"
+                "shard {shard}'s last committed checkpoint lags the quiesce boundary"
             ),
-            SwapError::Recovery(e) => write!(f, "swap crash recovery failed: {e}"),
             SwapError::DurableCommit { shard, error } => write!(
                 f,
                 "shard {shard} could not make the swap durable (rolled back): {error}"
@@ -242,16 +245,9 @@ impl std::error::Error for SwapError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SwapError::Unaligned(e) => Some(e),
-            SwapError::Recovery(e) => Some(e),
             SwapError::DurableCommit { error, .. } => Some(error),
             _ => None,
         }
-    }
-}
-
-impl From<RecoveryError> for SwapError {
-    fn from(e: RecoveryError) -> SwapError {
-        SwapError::Recovery(e)
     }
 }
 

@@ -555,6 +555,10 @@ impl StorageFaultPlan {
 struct SimFile {
     bytes: Vec<u8>,
     durable: Vec<u8>,
+    /// `durable` is no longer a prefix of `bytes` (a lying-fsync
+    /// replace): the next honest sync copies the whole file instead of
+    /// extending `durable` by the appended tail.
+    diverged: bool,
 }
 
 /// A deterministic in-memory filesystem with seeded fault injection.
@@ -613,7 +617,8 @@ impl SimBackend {
     /// reopens the store against exactly what real hardware would hold.
     pub fn crash(&mut self) {
         self.files.retain(|_, f| {
-            f.bytes = f.durable.clone();
+            f.bytes.clone_from(&f.durable);
+            f.diverged = false;
             !f.durable.is_empty()
         });
         self.dead = false;
@@ -639,7 +644,9 @@ impl SimBackend {
             }
         }
         if let Some((start, count)) = self.plan.transient_eio {
-            if n >= start && n < start + count {
+            // Subtract, never add: `start + count` overflows for an
+            // unbounded window (`count = u64::MAX`).
+            if n >= start && n - start < count {
                 return Err(StoreError::new(op, path, StoreErrorKind::Eio));
             }
         }
@@ -686,8 +693,10 @@ impl StorageBackend for SimBackend {
                 if self.plan.lying_fsync {
                     // The rename "fsync" lied: visible now, gone at the
                     // next power cut.
+                    f.diverged = true;
                 } else {
                     f.durable = bytes.to_vec();
+                    f.diverged = false;
                 }
                 self.after(n);
                 Ok(())
@@ -705,8 +714,13 @@ impl StorageBackend for SimBackend {
                 Err(StoreError::new("append", path, StoreErrorKind::Crashed))
             }
             None => {
-                let f = self.files.entry(path.to_string()).or_default();
-                f.bytes.extend_from_slice(bytes);
+                match self.files.get_mut(path) {
+                    Some(f) => f.bytes.extend_from_slice(bytes),
+                    None => {
+                        let f = self.files.entry(path.to_string()).or_default();
+                        f.bytes.extend_from_slice(bytes);
+                    }
+                }
                 self.after(n);
                 Ok(())
             }
@@ -719,7 +733,14 @@ impl StorageBackend for SimBackend {
         self.gate("sync", path)?;
         if !self.plan.lying_fsync {
             if let Some(f) = self.files.get_mut(path) {
-                f.durable = f.bytes.clone();
+                // Appends only extend `bytes`, so unless a lying replace
+                // intervened the durable bytes are a prefix of them and
+                // only the appended tail needs copying.
+                match f.bytes.get(f.durable.len()..).filter(|_| !f.diverged) {
+                    Some(tail) => f.durable.extend_from_slice(tail),
+                    None => f.durable.clone_from(&f.bytes),
+                }
+                f.diverged = false;
             }
         }
         self.after(n);
@@ -905,6 +926,30 @@ mod tests {
     }
 
     #[test]
+    fn sim_sync_after_truncate_and_lying_replace_keeps_whole_file() {
+        let mut b = SimBackend::new();
+        b.append("wal.bin", b"abcdef").unwrap();
+        b.sync("wal.bin").unwrap();
+        b.truncate("wal.bin", 3).unwrap();
+        b.append("wal.bin", b"XY").unwrap();
+        b.sync("wal.bin").unwrap();
+        b.crash();
+        assert_eq!(b.read("wal.bin").unwrap(), b"abcXY");
+        // A lying replace leaves the durable bytes behind a file they
+        // are no prefix of; the next honest sync must copy all of it.
+        b.set_faults(StorageFaultPlan {
+            lying_fsync: true,
+            ..StorageFaultPlan::none()
+        });
+        b.write_atomic("wal.bin", b"0123456").unwrap();
+        b.set_faults(StorageFaultPlan::none());
+        b.append("wal.bin", b"7").unwrap();
+        b.sync("wal.bin").unwrap();
+        b.crash();
+        assert_eq!(b.read("wal.bin").unwrap(), b"01234567");
+    }
+
+    #[test]
     fn sim_lying_fsync_loses_data_only_at_power_cut() {
         let mut b = SimBackend::with_faults(StorageFaultPlan {
             lying_fsync: true,
@@ -963,6 +1008,20 @@ mod tests {
         assert!(b.append("x", b"b").unwrap_err().is_transient()); // op 1
         assert!(b.append("x", b"b").unwrap_err().is_transient()); // op 2
         b.append("x", b"b").unwrap(); // op 3: window over
+        assert_eq!(b.read("x").unwrap(), b"ab");
+    }
+
+    #[test]
+    fn sim_unbounded_transient_eio_window_never_clears() {
+        let mut b = SimBackend::with_faults(StorageFaultPlan {
+            transient_eio: Some((2, u64::MAX)),
+            ..StorageFaultPlan::none()
+        });
+        b.append("x", b"a").unwrap(); // op 0
+        b.append("x", b"b").unwrap(); // op 1
+        for _ in 0..16 {
+            assert!(b.append("x", b"c").unwrap_err().is_transient());
+        }
         assert_eq!(b.read("x").unwrap(), b"ab");
     }
 

@@ -23,7 +23,7 @@
 
 use msa_core::{
     AttrSet, BoundsReport, Burst, CostParams, CrashPlan, DegradationPolicy, Executor, FaultPlan,
-    GuardPolicy, Record, ShardFault, ShardedExecutor, SupervisorPolicy,
+    GuardPolicy, Record, ShardFault, ShardedExecutor, StoreHandle, SupervisorPolicy,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_stream::hash::FastMap;
@@ -577,8 +577,7 @@ fn bounds_survive_crash_recovery_bit_identical() {
         let mut crashed = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
             .with_guard(guard)
             .with_faults(&faults)
-            .with_eviction_log()
-            .with_snapshots()
+            .with_store(StoreHandle::in_memory().unwrap())
             .with_crash(CrashPlan::at_record(at));
         crashed.run(&records);
         assert!(crashed.has_crashed(), "{label}: fuse must fire");
@@ -592,9 +591,15 @@ fn bounds_survive_crash_recovery_bit_identical() {
                 qb.lo()
             );
         }
-        let (snap, log) = crashed.durable_state().expect("genesis snapshot exists");
+        let stored = crashed
+            .store_handle()
+            .expect("a durable executor has a store")
+            .recover_artifacts()
+            .expect("the in-memory store reads back")
+            .expect("the genesis commit exists");
+        let snap = stored.snapshot;
         let mut recovered = Executor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED)
-            .recover(&snap, log)
+            .recover(&snap, stored.log)
             .unwrap_or_else(|e| panic!("{label}: recovery refused: {e}"));
         recovered.run(&records[snap.records_hwm as usize..]);
         let (report, hfta) = recovered.finish();

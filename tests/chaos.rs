@@ -16,7 +16,7 @@
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, EngineOptions, Executor, FaultPlan, GuardLevel,
-    GuardPolicy, MultiAggregator, Record,
+    GuardPolicy, MultiAggregator, Record, StoreHandle,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_stream::hash::FastMap;
@@ -375,18 +375,23 @@ fn crash_sweep_composed_with_channel_faults_recovers_exactly() {
     ];
     for (crash, what) in crashes {
         let mut crashed = build()
-            .with_eviction_log()
-            .with_snapshots()
+            .with_store(StoreHandle::in_memory().unwrap())
             .with_crash(crash);
         crashed.run(&stream.records);
         if !crashed.has_crashed() {
             crashed.flush_epoch();
         }
         assert!(crashed.has_crashed(), "fuse at {what} must fire");
-        let (snap, log) = crashed.durable_state().expect("durable artifacts");
+        let stored = crashed
+            .store_handle()
+            .expect("a durable executor has a store")
+            .recover_artifacts()
+            .expect("the in-memory store reads back")
+            .expect("the genesis commit exists");
+        let snap = stored.snapshot;
 
         let mut ex = build()
-            .recover(&snap, log)
+            .recover(&snap, stored.log)
             .unwrap_or_else(|e| panic!("recovery at {what}: {e}"));
         ex.run(&stream.records[snap.records_hwm as usize..]);
         let (report, hfta) = ex.finish();
@@ -462,8 +467,7 @@ fn identical_seeds_produce_identical_run_reports() {
             .with_eviction_duplication(0.04);
         let mut ex = Executor::new(phantom_plan(64, 32), CostParams::paper(), 1_000_000, 5)
             .with_faults(&faults)
-            .with_eviction_log()
-            .with_snapshots();
+            .with_store(StoreHandle::in_memory().unwrap());
         ex.run(&trace.records);
         ex.finish()
     };

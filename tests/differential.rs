@@ -16,9 +16,10 @@
 //!   both the serial and the merged sharded report, so bias-corrected
 //!   totals agree with ground truth on both sides;
 //! * **crash equivalence** — crash any one shard at any armed point,
-//!   recover it from its snapshot + eviction log, and the merged
-//!   outputs are bit-identical to the same deployment never crashing;
-//! * **snapshot framing** — the deployment-wide [`ShardedSnapshot`]
+//!   recover it from its checkpoint store (snapshot + eviction log), and
+//!   the merged outputs are bit-identical to the same deployment never
+//!   crashing;
+//! * **checkpoint framing** — every shard's newest stored checkpoint
 //!   round-trips through its binary encoding.
 //!
 //! `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix so CI can
@@ -26,7 +27,7 @@
 
 use msa_core::{
     AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Record, RunReport,
-    ShardedExecutor, ShardedSnapshot,
+    ShardedExecutor, Snapshot,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -258,12 +259,19 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                 // No-crash durable baseline for this cell.
                 let mut baseline = build_sharded(n, &faults, guard_on, true);
                 baseline.run(&records);
-                let sharded_snap = baseline.durable_snapshot();
+                // Every shard's newest stored checkpoint round-trips.
+                for k in 0..n {
+                    let snap = baseline
+                        .shard(k)
+                        .store_handle()
+                        .expect("a durable shard has a store")
+                        .recover_artifacts()
+                        .expect("the in-memory store reads back")
+                        .expect("every shard checkpoints")
+                        .snapshot;
+                    assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+                }
                 let (want_report, want_hfta) = baseline.finish();
-                // The deployment-wide checkpoint frames and round-trips.
-                let snap = sharded_snap.expect("every shard checkpoints");
-                assert_eq!(snap.shards.len(), n);
-                assert_eq!(ShardedSnapshot::decode(&snap.encode()).unwrap(), snap);
                 // Crash the last shard at each armed point; fuses count
                 // shard-local positions.
                 let crash_shard = n - 1;
@@ -283,11 +291,10 @@ fn matrix_crashed_shards_recover_to_no_crash_run() {
                         build_sharded(n, &faults, guard_on, true).with_crash(crash_shard, crash);
                     sx.run(&records);
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let (snapshot, log) = sx
-                        .durable_state(crash_shard)
-                        .expect("crash leaves durable artifacts");
-                    sx.recover_shard(crash_shard, &snapshot, log, &records)
-                        .expect("recovery succeeds");
+                    let fallbacks = sx
+                        .recover_shard_from_store(crash_shard, &records)
+                        .expect("a durable shard has a store");
+                    assert_eq!(fallbacks, 0, "{label}: pristine store, no fallback");
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();
                     assert_eq!(got_report, want_report, "{label}: merged report");

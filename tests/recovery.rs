@@ -1,5 +1,6 @@
 //! Crash-recovery suite: epoch-aligned checkpoints + write-ahead
-//! eviction log give exactly-once replay.
+//! eviction log, both committed to a checkpoint store, give
+//! exactly-once replay.
 //!
 //! The headline invariant: for **any** seed and **any** crash point —
 //! between records, between epochs, or in the middle of an end-of-epoch
@@ -15,8 +16,9 @@
 
 use msa_core::{
     AttrSet, CheckpointStore, CostParams, CrashPlan, DiskBackend, EvictionLog, Executor,
-    ExecutorConfig, FaultPlan, GuardPolicy, Record, RecoveryError, RunReport, ShardedExecutor,
-    Snapshot, SnapshotError, StorageFaultPlan, StoreErrorKind, StoreHandle, SwapError, SwapFault,
+    ExecutorConfig, FaultPlan, GuardPolicy, Record, RecoveryError, RunReport, ShardState,
+    ShardedExecutor, Snapshot, SnapshotError, StorageFaultPlan, StoreErrorKind, StoreHandle,
+    SwapCrashPoint, SwapError, SwapFault,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::snapshot::LogEntry;
@@ -63,8 +65,44 @@ fn stream(seed: u64) -> Vec<Record> {
         .records
 }
 
+/// Flat A and B query tables — the plan the swap drills move to.
+fn flat_plan() -> PhysicalPlan {
+    PhysicalPlan::new(vec![
+        PlanNode {
+            attrs: s("A"),
+            parent: None,
+            buckets: 16,
+            is_query: true,
+        },
+        PlanNode {
+            attrs: s("B"),
+            parent: None,
+            buckets: 16,
+            is_query: true,
+        },
+    ])
+    .unwrap()
+}
+
 fn executor(seed: u64) -> Executor {
     Executor::new(phantom_plan(), CostParams::paper(), EPOCH, seed)
+}
+
+/// [`executor`] checkpointing into a fresh in-memory store.
+fn durable(seed: u64) -> Executor {
+    executor(seed).with_store(StoreHandle::in_memory().unwrap())
+}
+
+/// What `ex`'s store holds: the newest committed checkpoint and the
+/// write-ahead log behind it.
+fn stored_artifacts(ex: &Executor) -> (Snapshot, EvictionLog) {
+    let artifacts = ex
+        .store_handle()
+        .expect("a durable executor has a store")
+        .recover_artifacts()
+        .expect("the in-memory store reads back")
+        .expect("the genesis commit always exists");
+    (artifacts.snapshot, artifacts.log)
 }
 
 /// Fault-free reference: the run that never crashes.
@@ -77,16 +115,16 @@ fn baseline(seed: u64, faults: Option<&FaultPlan>, records: &[Record]) -> (RunRe
     ex.finish()
 }
 
-/// Runs `ex` into its armed crash and returns the durable artifacts the
-/// "dead process" leaves behind (the harness flushes explicitly so
-/// fuses aimed at the final flush are reachable too).
+/// Runs `ex` into its armed crash and returns what its store holds
+/// for the "dead process" (the harness flushes explicitly so fuses
+/// aimed at the final flush are reachable too).
 fn run_to_crash(mut ex: Executor, records: &[Record]) -> (Snapshot, EvictionLog) {
     ex.run(records);
     if !ex.has_crashed() {
         ex.flush_epoch();
     }
     assert!(ex.has_crashed(), "crash fuse must fire for this sweep");
-    ex.durable_state().expect("genesis snapshot always exists")
+    stored_artifacts(&ex)
 }
 
 /// Crash → recover → resume → compare bit-for-bit against `base`.
@@ -98,10 +136,7 @@ fn recover_and_compare(
     base: &(RunReport, Hfta),
     label: &str,
 ) {
-    let mut crashed = executor(seed)
-        .with_eviction_log()
-        .with_snapshots()
-        .with_crash(crash);
+    let mut crashed = durable(seed).with_crash(crash);
     if let Some(f) = faults {
         crashed = crashed.with_faults(f);
     }
@@ -251,8 +286,7 @@ fn crash_recovery_preserves_overload_guard_state() {
 
     for at in [1_000u64, 2_500, 4_999] {
         let crashed = build()
-            .with_eviction_log()
-            .with_snapshots()
+            .with_store(StoreHandle::in_memory().unwrap())
             .with_crash(CrashPlan::at_record(at));
         let (snap, log) = run_to_crash(crashed, &records);
         assert!(snap.guard.is_some(), "guard state must be captured");
@@ -297,10 +331,7 @@ fn recovery_works_through_the_binary_encoding() {
     let seed = 13u64;
     let records = stream(seed);
     let base = baseline(seed, None, &records);
-    let crashed = executor(seed)
-        .with_eviction_log()
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(records.len() as u64 / 2));
+    let crashed = durable(seed).with_crash(CrashPlan::at_record(records.len() as u64 / 2));
     let (snap, log) = run_to_crash(crashed, &records);
 
     // Round-trip both artifacts through bytes.
@@ -321,10 +352,7 @@ fn recovery_works_through_the_binary_encoding() {
 fn corrupted_artifacts_are_rejected() {
     let seed = 17u64;
     let records = stream(seed);
-    let crashed = executor(seed)
-        .with_eviction_log()
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(3_000));
+    let crashed = durable(seed).with_crash(CrashPlan::at_record(3_000));
     let (snap, log) = run_to_crash(crashed, &records);
 
     let mut bytes = snap.encode();
@@ -362,10 +390,7 @@ fn corrupted_artifacts_are_rejected() {
 fn corruption_sweep_truncations_and_bit_flips_yield_typed_errors() {
     for seed in 0..20u64 {
         let records = stream(seed);
-        let crashed = executor(seed)
-            .with_eviction_log()
-            .with_snapshots()
-            .with_crash(CrashPlan::at_record(2_000 + 100 * seed));
+        let crashed = durable(seed).with_crash(CrashPlan::at_record(2_000 + 100 * seed));
         let (snap, log) = run_to_crash(crashed, &records);
         let artifacts: [(&str, Vec<u8>); 2] =
             [("snapshot", snap.encode()), ("eviction-log", log.encode())];
@@ -428,10 +453,7 @@ fn recovery_refuses_mismatched_artifacts_never_panics_supervised() {
 fn recovery_refuses_mismatched_artifacts() {
     let seed = 23u64;
     let records = stream(seed);
-    let crashed = executor(seed)
-        .with_eviction_log()
-        .with_snapshots()
-        .with_crash(CrashPlan::at_record(4_000));
+    let crashed = durable(seed).with_crash(CrashPlan::at_record(4_000));
     let (snap, log) = run_to_crash(crashed, &records);
     assert!(snap.seq > 0, "need deliveries before the crash");
 
@@ -702,8 +724,8 @@ fn corruption_matrix_recovers_bit_identically_or_falls_back_accounted() {
 }
 
 /// One in-flight fault-plan cell: the plan is armed before the run, the
-/// pipeline must survive it (degrading to in-memory artifacts at
-/// worst), and post-power-cut recovery plus replay must match the
+/// pipeline must survive it (running on without durability at worst),
+/// and post-power-cut recovery plus replay must match the
 /// oracle bit for bit.
 fn in_flight_cell(
     plan: StorageFaultPlan,
@@ -955,7 +977,6 @@ fn crashed_shard_recovers_from_its_store_with_and_without_rot() {
 /// shard's store.
 #[test]
 fn hot_swap_durable_commit_failure_rolls_back_untouched() {
-    use msa_gigascope::plan::PlanNode;
     let seed = 13u64;
     let records = stream(seed);
     // Split exactly at an epoch boundary so the quiesce barrier is the
@@ -964,23 +985,6 @@ fn hot_swap_durable_commit_failure_rolls_back_untouched() {
         .iter()
         .position(|r| r.ts_micros / EPOCH >= 3)
         .expect("stream spans six epochs");
-    let flat_plan = || {
-        PhysicalPlan::new(vec![
-            PlanNode {
-                attrs: s("A"),
-                parent: None,
-                buckets: 16,
-                is_query: true,
-            },
-            PlanNode {
-                attrs: s("B"),
-                parent: None,
-                buckets: 16,
-                is_query: true,
-            },
-        ])
-        .unwrap()
-    };
     let build = |stores: Vec<StoreHandle>| {
         ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, seed, 2)
             .unwrap()
@@ -1055,8 +1059,8 @@ fn hot_swap_durable_commit_failure_rolls_back_untouched() {
 
 /// Shard-local recovery: crash one shard of a 4-shard deployment
 /// mid-epoch (after a handful of eviction offers, i.e. during a flush
-/// or cascade), recover it from its own snapshot + eviction log, and
-/// the merged HFTA matches the **serial** executor's no-crash run on
+/// or cascade), recover it from the in-memory store its durable recipe
+/// gave it (snapshot + eviction log), and the merged HFTA matches the **serial** executor's no-crash run on
 /// the same stream — full per-epoch result equality, since the
 /// channels are lossless.
 #[test]
@@ -1081,15 +1085,18 @@ fn crashed_shard_recovers_to_match_serial_run() {
             let mut sx = build().with_crash(crash_shard, CrashPlan::after_offers(7));
             sx.run(&records);
             assert_eq!(sx.crashed_shards(), vec![crash_shard], "seed {seed}");
-            let (snapshot, log) = sx
-                .durable_state(crash_shard)
-                .expect("crashed shard has durable artifacts");
+            let (_, records_hwm) = sx
+                .shard(crash_shard)
+                .last_commit()
+                .expect("crashed shard committed its genesis checkpoint");
             assert!(
-                snapshot.records_hwm < records.len() as u64,
+                records_hwm < records.len() as u64,
                 "seed {seed}: crash landed mid-stream"
             );
-            sx.recover_shard(crash_shard, &snapshot, log, &records)
-                .expect("shard recovery succeeds");
+            let fallbacks = sx
+                .recover_shard_from_store(crash_shard, &records)
+                .expect("a durable shard has a store");
+            assert_eq!(fallbacks, 0, "seed {seed}: pristine store, no fallback");
             let (report, hfta) = sx.finish();
             assert_eq!(report.records, records.len() as u64, "seed {seed}");
             assert_eq!(
@@ -1101,5 +1108,235 @@ fn crashed_shard_recovers_to_match_serial_run() {
                 assert_eq!(hfta.totals(q), want_hfta.totals(q), "seed {seed} {q}");
             }
         }
+    }
+}
+
+/// A swap crash drill on a shard whose store degraded before the quiesce
+/// boundary is refused: the store never committed that boundary, so a
+/// "recovery" would resume state that was never durable. The deployment
+/// is left untouched and finishes bit-identically to a run that never
+/// attempted the swap.
+#[test]
+fn swap_crash_drill_refuses_a_degraded_store() {
+    let seed = 13u64;
+    let records = stream(seed);
+    let half = records
+        .iter()
+        .position(|r| r.ts_micros / EPOCH >= 3)
+        .expect("stream spans six epochs");
+    let build = |store: StoreHandle| {
+        ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, seed, 1)
+            .unwrap()
+            .with_stores(vec![store])
+    };
+    let oracle = {
+        let mut sx = build(StoreHandle::in_memory().unwrap());
+        sx.run(&records[..half]);
+        sx.align_to_epoch(3);
+        sx.run(&records[half..]);
+        sx.finish()
+    };
+    let dying = StorageFaultPlan {
+        crash_after_op: Some(50),
+        ..StorageFaultPlan::none()
+    };
+    let store = StoreHandle::in_memory_with_faults(dying).unwrap();
+    let mut sx = build(store.clone());
+    sx.run(&records[..half]);
+    sx.align_to_epoch(3);
+    assert!(sx.shard(0).store_degraded(), "the store must have died");
+    assert_eq!(store.generation(), 1, "only the genesis commit landed");
+    let fault = SwapFault {
+        crash: Some(SwapCrashPoint::BeforeCommit),
+        ..SwapFault::none()
+    };
+    let err = sx.hot_swap(flat_plan(), &fault).unwrap_err();
+    assert!(
+        matches!(err, SwapError::StaleCheckpoint { shard: 0 }),
+        "expected a stale-checkpoint refusal, got: {err}"
+    );
+    sx.run(&records[half..]);
+    let (report, hfta) = sx.finish();
+    assert_eq!(
+        report, oracle.0,
+        "the refused drill must leave the run untouched"
+    );
+    assert_eq!(hfta.results(), oracle.1.results());
+}
+
+/// A durable recipe with no explicit store checkpoints into a fresh
+/// in-memory one: genesis before the first record, then one commit per
+/// closed epoch, the newest of which recovers.
+#[test]
+fn durable_recipe_without_a_store_checkpoints_in_memory() {
+    let plain = ExecutorConfig::new(phantom_plan(), CostParams::paper(), DRILL_EPOCH, 7);
+    assert!(
+        plain.build().store_handle().is_none(),
+        "not durable, no store"
+    );
+    let mut ex = drill_config(7).build();
+    let store = ex.store_handle().expect("a durable recipe has a store");
+    assert_eq!(
+        store.stats().commits,
+        0,
+        "nothing commits before record one"
+    );
+    let recs = drill_records(250);
+    ex.run(&recs);
+    let closed = ex.report().epochs;
+    assert_eq!(closed, 2, "250 records at 100 per epoch close two epochs");
+    assert_eq!(
+        store.stats().commits,
+        closed + 1,
+        "genesis plus one commit per closed epoch"
+    );
+    assert_eq!(ex.last_commit(), Some((closed, 200)));
+    let newest = store.recover_artifacts().unwrap().expect("readable");
+    assert_eq!(
+        (newest.snapshot.epoch, newest.snapshot.records_hwm),
+        (closed, 200)
+    );
+}
+
+/// Recovering hand-supplied artifacts into an executor that has a store
+/// of its own (here the fresh in-memory store of a `durable` recipe)
+/// makes them durable there first: the snapshot commits as a new
+/// generation and the log suffix follows it, so WAL appends land from
+/// the first record on, and a second crash recovers from that store
+/// bit-identically. A storeless recovery claims no commit, and a store
+/// attached to it mid-epoch waits for the next boundary.
+#[test]
+fn recovered_artifacts_become_durable_in_the_executors_own_store() {
+    let recs = drill_records(500);
+    let oracle = drill_oracle(7, &recs);
+    let crashed = drill_config(7)
+        .build()
+        .with_crash(CrashPlan::at_record(240));
+    let (snap, log) = run_to_crash(crashed, &recs);
+    assert_eq!((snap.epoch, snap.records_hwm), (2, 200));
+    let suffix = log.suffix(snap.seq).count() as u64;
+    assert!(suffix > 0, "the crash leaves an open-epoch log behind");
+
+    let mut ex = drill_config(7).build().recover(&snap, log.clone()).unwrap();
+    let store = ex.store_handle().expect("a durable recipe has a store");
+    assert_eq!(ex.last_commit(), Some((2, 200)));
+    assert_eq!(store.generation(), 1, "the snapshot committed");
+    assert_eq!(store.stats().wal_appends, suffix, "the suffix re-appended");
+    // Stop 30 records short of the next boundary: every delivery past
+    // the crash point sits in the store's write-ahead log.
+    ex.run(&recs[200..270]);
+    assert!(
+        store.stats().wal_appends > suffix,
+        "appends reach the store"
+    );
+    assert_eq!(store.stats().commits, 1, "no boundary crossed yet");
+    drop(ex);
+    let again = store.recover_executor(&drill_config(7));
+    assert_eq!((again.generation, again.records_hwm), (1, 200));
+    let mut ex = again.executor.expect("the store recovers");
+    ex.run(&recs[200..]);
+    let (report, hfta) = ex.finish();
+    assert_eq!(report, oracle.0, "second recovery vs never-crashed run");
+    assert_eq!(hfta.results(), oracle.1.results());
+
+    // Storeless: nothing was committed anywhere, and a store attached
+    // mid-epoch (the replayed suffix is in flight) first commits at the
+    // next boundary.
+    let bare = Executor::new(phantom_plan(), CostParams::paper(), DRILL_EPOCH, 7)
+        .recover(&snap, log)
+        .unwrap();
+    assert_eq!(bare.last_commit(), None, "no store, no commit");
+    let late = StoreHandle::in_memory().unwrap();
+    let mut ex = bare.with_store(late.clone());
+    ex.run(&recs[200..250]);
+    assert_eq!(late.stats().commits, 0, "mid-epoch: no genesis commit");
+    ex.run(&recs[250..350]);
+    assert_eq!(late.stats().commits, 1);
+    assert_eq!(ex.last_commit(), Some((3, 300)));
+}
+
+/// A swap crash drill whose recovery cannot read the quiesce boundary
+/// back from a store — the store died *after* committing it, e.g. on
+/// the commit's last GC step, which the commit ignores — fails as a
+/// whole: no recovered shard is installed, the supervision pulse
+/// leaves the swap window, and the deployment finishes bit-identically to one
+/// that never swapped. The sweep kills shard 1's store after every op
+/// index in turn, for each crash point; every cell either completes the
+/// drill exactly as a healthy store does or refuses it without a trace.
+#[test]
+fn swap_crash_drill_with_a_store_dying_after_its_commit_is_all_or_nothing() {
+    let seed = 5u64;
+    let recs = drill_records(400);
+    let build = |store: StoreHandle| {
+        ShardedExecutor::new(phantom_plan(), CostParams::paper(), DRILL_EPOCH, seed, 2)
+            .unwrap()
+            .with_stores(vec![StoreHandle::in_memory().unwrap(), store])
+    };
+    let drill = |store: StoreHandle, point: Option<SwapCrashPoint>| {
+        let mut sx = build(store);
+        sx.run(&recs[..200]);
+        sx.align_to_epoch(2);
+        let boundary = sx.shard(1).last_commit() == Some((2, sx.shard(1).report().records));
+        let swap = point.map(|crash| {
+            let fault = SwapFault {
+                crash: Some(crash),
+                ..SwapFault::none()
+            };
+            let swap = sx.hot_swap(flat_plan(), &fault);
+            let pulse = (0..2).all(|k| sx.heartbeat(k).state() != ShardState::Restarting);
+            (swap, pulse, sx.plan().nodes().len())
+        });
+        sx.run(&recs[200..]);
+        (boundary, swap, sx.finish())
+    };
+    let (_, _, unswapped) = drill(StoreHandle::in_memory().unwrap(), None);
+    let old_nodes = phantom_plan().nodes().len();
+    assert_ne!(old_nodes, flat_plan().nodes().len());
+    for point in [
+        SwapCrashPoint::AfterQuiesce,
+        SwapCrashPoint::BeforeCommit,
+        SwapCrashPoint::AfterCommit,
+    ] {
+        let (_, healthy, want) = drill(StoreHandle::in_memory().unwrap(), Some(point));
+        let want_outcome = healthy.expect("drilled").0.expect("healthy drill").outcome;
+        let mut refused_after_commit = 0;
+        for op in 0..400u64 {
+            let dying = StorageFaultPlan {
+                crash_after_op: Some(op),
+                ..StorageFaultPlan::none()
+            };
+            let store = StoreHandle::in_memory_with_faults(dying).unwrap();
+            let (boundary, swap, (report, hfta)) = drill(store, Some(point));
+            let (swap, pulse, plan) = swap.expect("drilled");
+            let label = format!("{point:?}, store dead after op {op}");
+            assert!(pulse, "{label}: the pulse must leave the swap window");
+            match swap {
+                Ok(ok) => {
+                    assert_eq!(ok.outcome, want_outcome, "{label}");
+                    assert_eq!(report, want.0, "{label}: report vs healthy drill");
+                    assert_eq!(hfta.results(), want.1.results(), "{label}");
+                }
+                Err(SwapError::StaleCheckpoint { shard: 1 }) => {
+                    assert_eq!(plan, old_nodes, "{label}: old plan serves");
+                    assert_eq!(report, unswapped.0, "{label}: report vs unswapped");
+                    assert_eq!(hfta.results(), unswapped.1.results(), "{label}");
+                    if boundary {
+                        refused_after_commit += 1;
+                    }
+                }
+                Err(SwapError::DurableCommit { shard: 1, .. })
+                    if point == SwapCrashPoint::AfterCommit =>
+                {
+                    assert_eq!(plan, old_nodes, "{label}: old plan serves");
+                    assert_eq!(report.replans_rolled_back, 1, "{label}");
+                    assert_eq!(hfta.results(), unswapped.1.results(), "{label}");
+                }
+                Err(e) => panic!("{label}: unexpected refusal {e}"),
+            }
+        }
+        assert!(
+            refused_after_commit > 0,
+            "{point:?}: the sweep must hit a store that committed the boundary, then died"
+        );
     }
 }

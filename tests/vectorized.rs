@@ -10,8 +10,8 @@
 //! * identical [`RunReport`]s (every counter, cost trace and ledger);
 //! * identical per-epoch HFTA result lists and per-group totals;
 //! * identical guaranteed error-bound reports ([`BoundsReport`]);
-//! * identical durable snapshots, byte-for-byte through the
-//!   [`ShardedSnapshot`] encoding;
+//! * identical stored checkpoints: every shard's recovered snapshot and
+//!   write-ahead log encode byte-for-byte alike;
 //! * identical crash/recovery outcomes when a shard dies mid-chunk.
 //!
 //! Chunking is pure batching: the executor re-derives epoch boundaries
@@ -20,8 +20,8 @@
 //! entry. `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, Executor, FaultPlan, GuardPolicy, Ingest, IngestMode,
-    Record, RecordChunk, RunReport, ShardedExecutor, ShardedSnapshot, ValueSource,
+    AttrSet, Burst, CostParams, CrashPlan, EvictionLog, Executor, FaultPlan, GuardPolicy, Ingest,
+    IngestMode, Record, RecordChunk, RunReport, ShardedExecutor, Snapshot, ValueSource,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -160,6 +160,19 @@ fn build_sharded(
     sx
 }
 
+/// Shard `k`'s stored checkpoint: the newest snapshot and its
+/// write-ahead log, as a crash would leave them.
+fn stored_artifacts(sx: &ShardedExecutor, k: usize) -> (Snapshot, EvictionLog) {
+    let artifacts = sx
+        .shard(k)
+        .store_handle()
+        .expect("a durable shard has a store")
+        .recover_artifacts()
+        .expect("the in-memory store reads back")
+        .expect("every shard commits a genesis checkpoint");
+    (artifacts.snapshot, artifacts.log)
+}
+
 /// Everything a cell can observe from a finished serial executor.
 fn finish_serial(ex: Executor) -> (RunReport, Hfta, msa_core::BoundsReport) {
     let bounds = ex.bounds();
@@ -267,14 +280,29 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
             let crash_shard = n - 1;
             let probe = build_sharded(n, &faults, false, true, IngestMode::Scalar);
             let part_len = probe.partition(&records)[crash_shard].len() as u64;
-            // No-crash durable chunked baseline, with snapshot framing.
+            // No-crash durable chunked baseline: every shard's stored
+            // checkpoint equals the scalar feed's, byte for byte, and
+            // round-trips through its encoding.
+            let mut scalar_baseline = build_sharded(n, &faults, false, true, IngestMode::Scalar);
+            scalar_baseline.run(&records);
             let mut baseline =
                 build_sharded(n, &faults, false, true, IngestMode::Chunked { size: 64 });
             baseline.run(&records);
-            let snap = baseline
-                .durable_snapshot()
-                .expect("every shard checkpoints");
-            assert_eq!(ShardedSnapshot::decode(&snap.encode()).unwrap(), snap);
+            for k in 0..n {
+                let (snap, log) = stored_artifacts(&baseline, k);
+                let (want_snap, want_log) = stored_artifacts(&scalar_baseline, k);
+                assert_eq!(
+                    snap.encode(),
+                    want_snap.encode(),
+                    "{n} shards/{fname}: shard {k}"
+                );
+                assert_eq!(
+                    log.encode(),
+                    want_log.encode(),
+                    "{n} shards/{fname}: shard {k}"
+                );
+                assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+            }
             let (want_report, want_hfta) = baseline.finish();
             let mut crash_points = vec![
                 ("at-record-0", CrashPlan::at_record(0)),
@@ -289,9 +317,7 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                 let mut scalar = build_sharded(n, &faults, false, true, IngestMode::Scalar)
                     .with_crash(crash_shard, crash);
                 scalar.run(&records);
-                let (want_snap, want_log) = scalar
-                    .durable_state(crash_shard)
-                    .expect("crash leaves durable artifacts");
+                let (want_snap, want_log) = stored_artifacts(&scalar, crash_shard);
                 for &size in &sizes {
                     let label = format!("{n} shards/chunk={size}/{fname}/{cname}");
                     let mut sx =
@@ -299,15 +325,15 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                             .with_crash(crash_shard, crash);
                     sx.run(&records);
                     assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let (got_snap, got_log) = sx
-                        .durable_state(crash_shard)
-                        .expect("crash leaves durable artifacts");
-                    // The durable artifacts a mid-chunk death leaves are
-                    // the scalar ones, byte for byte.
+                    let (got_snap, got_log) = stored_artifacts(&sx, crash_shard);
+                    // What a mid-chunk death leaves in the store is the
+                    // scalar feed's, byte for byte.
                     assert_eq!(got_snap.encode(), want_snap.encode(), "{label}: snapshot");
                     assert_eq!(got_log.encode(), want_log.encode(), "{label}: WAL");
-                    sx.recover_shard(crash_shard, &got_snap, got_log, &records)
-                        .expect("recovery succeeds");
+                    let fallbacks = sx
+                        .recover_shard_from_store(crash_shard, &records)
+                        .expect("a durable shard has a store");
+                    assert_eq!(fallbacks, 0, "{label}: pristine store, no fallback");
                     assert!(sx.crashed_shards().is_empty(), "{label}");
                     let (got_report, got_hfta) = sx.finish();
                     assert_eq!(got_report, want_report, "{label}: recovered report");
