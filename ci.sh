@@ -15,8 +15,8 @@ fi
 echo "==> cargo build --offline --release"
 cargo build --offline --release --workspace
 
-# A wedged shard (a thread stuck inside one `process` call) is invisible
-# to the in-process supervisor; the hard timeout is the outer tripwire
+# A wedged shard (a thread stuck inside one `offer_chunk` call) is
+# invisible to the in-process supervisor; the hard timeout is the outer tripwire
 # that turns a hang into a CI failure instead of a stalled pipeline.
 echo "==> cargo test --offline -q (hard timeout 1800s)"
 timeout 1800 cargo test --offline --workspace -q
@@ -70,10 +70,11 @@ echo "==> bound-soundness battery (reduced matrix)"
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test bounds
 
 echo "==> vectorization battery (reduced matrix)"
-# {scalar, chunked} x {chunk sizes} x {shards} x {faults} x {crash
-# points}: chunked ingestion must be bit-identical to the per-record
-# oracle in every cell — reports, per-epoch results, bounds, snapshots
-# and WAL encodings.
+# Serial {chunk sizes} x {faults} x {guard} against `process`, and the
+# sharded {shards} x {faults} x {guard} x {crash points} against a
+# per-shard `process` oracle: chunked ingestion must be bit-identical in
+# every cell — reports, per-epoch results, bounds, snapshots and WAL
+# encodings.
 MSA_SCALE=0.05 timeout 900 cargo test --offline -q --test vectorized
 
 echo "==> adaptive-runtime battery (reduced matrix)"
@@ -91,8 +92,9 @@ MSA_SCALE=0.05 timeout 900 cargo run --offline --release -q -p msa-bench --bin r
 git checkout -- results/BENCH_replan_swap.json 2>/dev/null || true
 
 echo "==> chunk-throughput bench (reduced scale)"
-# Single-shard chunked-vs-scalar ingestion; in-bench determinism gate
-# (two runs per path, chunked == scalar bit for bit). The >= 2x speedup
+# Single-shard chunked ingestion vs a per-record `process` loop;
+# in-bench determinism gate (two runs per path, chunked == per-record
+# bit for bit). The >= 2x speedup
 # bar is asserted only at MSA_SCALE=1, so the reduced run checks
 # correctness and artifact plumbing; the committed full-scale JSON is
 # restored afterwards.
@@ -134,6 +136,22 @@ echo "==> end-to-end benchmark: build and unit tests"
 # it and running its unit tests catches API drift that would break it.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "==> end-to-end benchmark: smoke run of the gated workloads"
+# One short traced run per workload the benchmark gates on; each must
+# pass the benchmark's own reference gate. Catches a feed or engine
+# change that breaks it long before a full-length benchmark run would.
+for workload in epochs_durable drift_push; do
+    last=$(perfbench/target/release/perfbench --workload "$workload" \
+        --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    case "$last" in
+    *'"correct": true'*'"failed": 0'* | *'"failed": 0'*'"correct": true'*) ;;
+    *)
+        echo "error: perfbench $workload smoke run failed its gate: $last" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -1,5 +1,6 @@
 //! Chunked-ingestion throughput: the columnar LFTA hot path versus the
-//! scalar oracle on a memory-bound workload.
+//! per-record reference ([`Executor::process`]) on a memory-bound
+//! workload.
 //!
 //! The single-slot LFTA tables are sized far beyond the last-level
 //! cache, so every probe is a dependent memory access on the scalar
@@ -70,9 +71,16 @@ fn build(plan: &PhysicalPlan) -> Executor {
     Executor::new(plan.clone(), CostParams::paper(), EPOCH_MICROS, seed())
 }
 
-fn run_scalar(plan: &PhysicalPlan, records: &[Record]) -> (RunReport, Hfta) {
+/// The per-record reference: one [`Executor::process`] call per record.
+fn process_all(ex: &mut Executor, records: &[Record]) {
+    for r in records {
+        ex.process(r);
+    }
+}
+
+fn scalar_run(plan: &PhysicalPlan, records: &[Record]) -> (RunReport, Hfta) {
     let mut ex = build(plan);
-    ex.run(records);
+    process_all(&mut ex, records);
     ex.finish()
 }
 
@@ -86,7 +94,7 @@ fn chunk_stream(records: &[Record], size: usize) -> Vec<RecordChunk> {
         .collect()
 }
 
-fn run_chunked(plan: &PhysicalPlan, chunks: &[RecordChunk]) -> (RunReport, Hfta) {
+fn chunked_run(plan: &PhysicalPlan, chunks: &[RecordChunk]) -> (RunReport, Hfta) {
     let mut ex = build(plan);
     for c in chunks {
         ex.offer_chunk(c);
@@ -131,13 +139,13 @@ fn main() -> Result<(), MsaError> {
 
     // Determinism gate: both paths, twice each, bit-identical outputs —
     // and the chunked output equal to the scalar one.
-    let (sr1, sh1) = run_scalar(&plan, &records);
-    let (sr2, sh2) = run_scalar(&plan, &records);
+    let (sr1, sh1) = scalar_run(&plan, &records);
+    let (sr2, sh2) = scalar_run(&plan, &records);
     assert_eq!(sr1, sr2, "scalar runs differ");
     assert_eq!(sh1.results(), sh2.results(), "scalar runs differ");
     let window = chunk_stream(&records, PROCESSING_WINDOW_SIZE);
-    let (cr1, ch1) = run_chunked(&plan, &window);
-    let (cr2, ch2) = run_chunked(&plan, &window);
+    let (cr1, ch1) = chunked_run(&plan, &window);
+    let (cr2, ch2) = chunked_run(&plan, &window);
     assert_eq!(cr1, cr2, "chunked runs differ");
     assert_eq!(ch1.results(), ch2.results(), "chunked runs differ");
     assert_eq!(cr1, sr1, "chunked report != scalar report");
@@ -145,7 +153,7 @@ fn main() -> Result<(), MsaError> {
     assert_eq!(sr1.records, n as u64);
     println!("determinism: scalar == chunked, bit for bit, across repeat runs");
 
-    let scalar_secs = time_runs(&plan, |ex| ex.run(&records));
+    let scalar_secs = time_runs(&plan, |ex| process_all(ex, &records));
     let mut rows = vec![Row {
         label: "scalar".into(),
         chunk: 1,

@@ -14,7 +14,9 @@ use msa_optimizer::{
     PlannerOptions,
 };
 use msa_stream::hash::FastMap;
-use msa_stream::{AttrSet, DatasetStats, Filter, GroupKey, Record};
+use msa_stream::{
+    AttrSet, DatasetStats, Filter, GroupKey, Record, RecordChunk, PROCESSING_WINDOW_SIZE,
+};
 
 /// Collision-rate model selection (a concrete enum so the engine can own
 /// its model without lifetime plumbing).
@@ -184,6 +186,10 @@ pub struct MultiAggregator {
     queries: Vec<AttrSet>,
     opts: EngineOptions,
     state: State,
+    /// Pushed records not yet offered to the running executor: offered
+    /// as one chunk when full, and drained before anything reads the
+    /// executor (the epoch-boundary hooks, `finish`).
+    pending: RecordChunk,
     stats: Option<DatasetStats>,
     plan: Option<Plan>,
     results: Vec<EpochResult>,
@@ -217,6 +223,7 @@ impl MultiAggregator {
         let mut engine = MultiAggregator {
             stats: opts.stats.clone(),
             state: State::Bootstrapping(Vec::new()),
+            pending: RecordChunk::with_capacity(PROCESSING_WINDOW_SIZE),
             plan: None,
             results: Vec::new(),
             merged,
@@ -331,9 +338,7 @@ impl MultiAggregator {
             .map_or(self.current_epoch, |r| r.ts_micros / epoch_micros);
         let mut executor = self.build_executor(&plan, start_epoch);
         self.plan = Some(plan);
-        for r in &buffered {
-            executor.process(r);
-        }
+        executor.run(&buffered);
         self.state = State::Running(executor);
     }
 
@@ -527,14 +532,30 @@ impl MultiAggregator {
         self.repairs
     }
 
+    /// Offers the pending records to the running executor.
+    fn drain(&mut self) {
+        if let State::Running(executor) = &mut self.state {
+            executor.offer_chunk(&self.pending);
+        }
+        self.pending.clear();
+    }
+
     /// Pushes one record.
     pub fn push(&mut self, record: Record) {
-        // Epoch-boundary hook for adaptivity and overload repair.
+        // Epoch-boundary hook for adaptivity and overload repair: the
+        // hooks read the executor's tables, so the old epoch's records
+        // go in first.
         let epoch = record.ts_micros / self.opts.epoch_micros.max(1);
         if epoch > self.current_epoch {
+            self.drain();
             self.current_epoch = epoch;
             self.maybe_replan();
             self.maybe_repair();
+            // Close the old epoch now, as the boundary record would on
+            // arrival, rather than when the buffer next fills.
+            if let State::Running(executor) = &mut self.state {
+                executor.align_to_epoch(epoch);
+            }
         }
         match &mut self.state {
             State::Bootstrapping(buffer) => {
@@ -544,12 +565,18 @@ impl MultiAggregator {
                     self.promote(buffered);
                 }
             }
-            State::Running(executor) => executor.process(&record),
+            State::Running(_) => {
+                self.pending.push(&record);
+                if self.pending.len() >= PROCESSING_WINDOW_SIZE {
+                    self.drain();
+                }
+            }
         }
     }
 
     /// Finishes the run: flushes the last epoch and returns everything.
     pub fn finish(mut self) -> AggregationOutput {
+        self.drain();
         match std::mem::replace(&mut self.state, State::Bootstrapping(Vec::new())) {
             State::Bootstrapping(buffer) => {
                 if !buffer.is_empty() {
@@ -687,6 +714,37 @@ mod tests {
         for q in queries {
             assert_eq!(out.totals(q), exact(&records, q), "query {q}");
         }
+    }
+
+    #[test]
+    fn boundary_push_drains_the_buffer_before_the_drift_check() {
+        // The statistics believe 20 groups; the first epoch brings 2000
+        // in fewer records than one processing window, so they are all
+        // still buffered when the next epoch's first record arrives.
+        let calm = UniformStreamBuilder::new(4, 20)
+            .records(5_000)
+            .seed(4)
+            .build();
+        let wild = UniformStreamBuilder::new(4, 2000)
+            .records(1_000)
+            .duration_secs(0.9)
+            .seed(5)
+            .build();
+        assert!(wild.records.len() < PROCESSING_WINDOW_SIZE);
+        let mut opts = EngineOptions::new(8_000.0);
+        opts.epoch_micros = 1_000_000;
+        opts.stats = Some(DatasetStats::compute(&calm.records, s("ABCD")));
+        opts.adaptive = Some(AdaptivePolicy::default());
+        let mut engine = MultiAggregator::new(vec![s("AB"), s("CD")], opts);
+        for r in &wild.records {
+            engine.push(*r);
+        }
+        assert_eq!(engine.replans(), 0);
+        // Undrained, the tables would show no probes and no drift.
+        engine.push(Record::new(&[1, 2, 3, 4], 1_000_000));
+        assert_eq!(engine.replans(), 1);
+        let out = engine.finish();
+        assert_eq!(out.report.records as usize, wild.records.len() + 1);
     }
 
     #[test]

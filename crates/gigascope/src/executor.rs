@@ -30,7 +30,7 @@ use crate::store::StoreHandle;
 use crate::table::{AggState, LftaTable, Probe, TableStats};
 use crate::CostParams;
 use msa_stream::hash::mix64;
-use msa_stream::{AttrSet, Filter, GroupKey, Record, RecordChunk};
+use msa_stream::{AttrSet, Filter, GroupKey, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
 
 /// Where a record's metric value (e.g. packet length) comes from.
 ///
@@ -55,33 +55,6 @@ impl ValueSource {
                 AggState::from_value(record.attrs.get(i as usize).copied().unwrap_or(0))
             }
         }
-    }
-}
-
-/// Uniform ingestion surface over the scalar and chunked paths.
-///
-/// The differential battery (`tests/vectorized.rs`) drives the same
-/// workload through both methods of this trait and asserts bit-identical
-/// reports, bounds and snapshots: [`Ingest::offer`] is the per-record
-/// oracle, [`Ingest::offer_chunk`] the columnar fast path.
-pub trait Ingest {
-    /// Processes one record (the scalar oracle path).
-    fn offer(&mut self, record: &Record);
-
-    /// Processes a columnar chunk, observationally identical to
-    /// offering every lane in order.
-    fn offer_chunk(&mut self, chunk: &RecordChunk);
-}
-
-impl Ingest for Executor {
-    #[inline]
-    fn offer(&mut self, record: &Record) {
-        self.process(record);
-    }
-
-    #[inline]
-    fn offer_chunk(&mut self, chunk: &RecordChunk) {
-        Executor::offer_chunk(self, chunk);
     }
 }
 
@@ -850,6 +823,12 @@ impl Executor {
     }
 
     /// Processes one record, closing epochs as its timestamp dictates.
+    ///
+    /// This is the per-record reference semantics: production code feeds
+    /// records through [`Executor::offer_chunk`] (or [`Executor::run`]),
+    /// which must stay bit-identical to calling `process` on every lane
+    /// in order. Tests and the `chunk_throughput` bench keep it as the
+    /// oracle that contract is checked against.
     #[inline]
     pub fn process(&mut self, record: &Record) {
         if self.crashed {
@@ -917,13 +896,15 @@ impl Executor {
         }
     }
 
-    /// Processes a batch of records (stops early if a crash fuse fires).
+    /// Processes a batch of records through [`Executor::offer_chunk`],
+    /// one [`PROCESSING_WINDOW_SIZE`] window at a time (stops early if a
+    /// crash fuse fires).
     pub fn run(&mut self, records: &[Record]) {
-        for r in records {
+        for window in records.chunks(PROCESSING_WINDOW_SIZE) {
             if self.crashed {
                 break;
             }
-            self.process(r);
+            self.offer_chunk(&RecordChunk::from_records(window));
         }
     }
 
@@ -990,17 +971,6 @@ impl Executor {
                 return;
             }
             i = j;
-        }
-    }
-
-    /// Feeds `records` through [`Executor::offer_chunk`] in chunks of
-    /// `chunk_size` lanes (the chunked analogue of [`Executor::run`]).
-    pub fn run_chunked(&mut self, records: &[Record], chunk_size: usize) {
-        for batch in records.chunks(chunk_size.max(1)) {
-            if self.crashed {
-                break;
-            }
-            self.offer_chunk(&RecordChunk::from_records(batch));
         }
     }
 
@@ -1304,10 +1274,13 @@ impl Executor {
         self.crashed
     }
 
-    /// Supervisor hook: counts one supervised restart of this shard
-    /// (a panic boundary caught a death, or the stuck deadline fired).
-    pub(crate) fn note_restart(&mut self) {
-        self.report.shard_restarts += 1;
+    /// Supervisor hook: sets the count of supervised restarts of this
+    /// shard (a panic boundary caught a death, or the stuck deadline
+    /// fired). The supervisor carries the count across restarts: an
+    /// executor recovered from a checkpoint holds that checkpoint's
+    /// count, which misses every restart since.
+    pub(crate) fn note_restarts(&mut self, total: u64) {
+        self.report.shard_restarts = total;
     }
 
     /// Supervisor hook: a poison record was quarantined instead of

@@ -6,11 +6,14 @@
 //! gives every shard a [`ShardDriver`] — the supervision loop its
 //! worker thread runs instead of calling `Executor::run` directly:
 //!
-//! * **panic isolation** — each record is processed inside a
-//!   `catch_unwind` boundary (this file is the only place the engine
-//!   is allowed to erect one; msa-lint rule R005 enforces the
-//!   containment). A caught panic marks the shard *dead* and triggers
-//!   a restart instead of an abort.
+//! * **panic isolation** — the backlog is processed in chunk ranges,
+//!   each inside a `catch_unwind` boundary (this file is the only
+//!   place the engine is allowed to erect one; msa-lint rule R005
+//!   enforces the containment). A range ends just before the next
+//!   supervision event — an armed panic or stall index, a quarantined
+//!   record — so every decision still lands on its exact record index.
+//!   A caught panic marks the shard *dead* and triggers a restart
+//!   instead of an abort.
 //! * **restart from checkpoint** — a dead or stuck shard is rebuilt
 //!   from its last epoch-aligned snapshot + eviction log
 //!   ([`Executor::recover`]) and its feed is replayed from a bounded
@@ -36,8 +39,9 @@
 //!   decisions must be pure functions of the input stream (msa-lint
 //!   rule D001 bans clocks from the engine), so two runs of the same
 //!   stream take identical decisions at identical points. A thread
-//!   wedged *inside* a single `process` call cannot be observed from
-//!   within; that residual case is what the CI hard timeout covers.
+//!   wedged *inside* a single `offer_chunk` call cannot be observed
+//!   from within; that residual case is what the CI hard timeout
+//!   covers.
 //!
 //! Every decision point (panic index, stall onset, deadline expiry,
 //! quarantine, buffer pruning) is keyed to shard-local record indices,
@@ -53,7 +57,7 @@ use crate::executor::{Executor, ExecutorConfig};
 use crate::faults::ShardFault;
 use crate::snapshot::EvictionLog;
 use crate::store::StoreHandle;
-use msa_stream::{AttrSet, Record, RecordChunk};
+use msa_stream::{AttrSet, Record, RecordChunk, PROCESSING_WINDOW_SIZE};
 
 /// Supervision knobs. Everything is counted in shard-local records —
 /// never wall-clock time — so supervised runs stay deterministic.
@@ -260,8 +264,8 @@ fn install_quiet_hook() {
 /// The supervision loop one shard worker runs: a panic boundary, a
 /// bounded replay buffer, the stall/poison state machine, and restart
 /// from checkpoint. Single-threaded per shard; all inputs arrive via
-/// [`ShardDriver::offer`] in partition order, so every decision is a
-/// pure function of the shard's record stream.
+/// [`ShardDriver::feed`] in partition order, so every decision
+/// is a pure function of the shard's record stream.
 pub(crate) struct ShardDriver {
     shard: usize,
     cfg: ExecutorConfig,
@@ -288,11 +292,20 @@ pub(crate) struct ShardDriver {
     /// already been handled (stalls fire once).
     stalled: bool,
     stall_handled: bool,
-    /// A real panic escaped the vectorized probe: stay on the
-    /// per-record pump from here on, so the replay re-hits the death
-    /// at its exact record index.
-    scalar_fallback: bool,
+    /// A real panic escaped a range ending here: until consumption
+    /// passes this index, ranges are one lane long, so the replay
+    /// re-hits the death at its exact record index.
+    lane_until: u64,
+    /// That panic escaped a multi-lane range, so its index is not yet
+    /// known; it counts toward the poison verdict at the index where
+    /// the one-lane replay dies.
+    unlocated_death: bool,
     health: ShardHealth,
+    /// Unit tests' stand-in for a record that breaks the executor: a
+    /// range reaching this shard-local index unwinds from inside the
+    /// executor's work, this many more times.
+    #[cfg(test)]
+    real_poison: Option<(u64, u32)>,
 }
 
 impl ShardDriver {
@@ -328,103 +341,26 @@ impl ShardDriver {
             panic_attempts: 0,
             stalled: false,
             stall_handled: false,
-            scalar_fallback: false,
+            lane_until: 0,
+            unlocated_death: false,
             health: ShardHealth::default(),
+            #[cfg(test)]
+            real_poison: None,
         }
     }
 
-    /// Feeds one batch of the shard's partition, in order, then pumps
-    /// the supervision loop as far as it can go.
-    pub(crate) fn offer(&mut self, batch: &[Record]) {
-        for &r in batch {
-            self.received += 1;
-            if !self.ex.has_crashed() {
-                // A crash-fuse "dead process" never consumes its feed;
-                // counting (not storing) its backlog keeps memory flat
-                // and lets `close` account the in-flight loss exactly.
-                self.buf.push_back(r);
-            }
+    /// Feeds the next records of the shard's partition, in order,
+    /// then pumps the supervision loop as far as it can go.
+    pub(crate) fn feed(&mut self, records: &[Record]) {
+        self.received += records.len() as u64;
+        if !self.ex.has_crashed() {
+            // A crash-fuse "dead process" never consumes its feed;
+            // counting (not storing) its backlog keeps memory flat and
+            // lets `close` account the in-flight loss exactly.
+            self.buf.extend(records);
         }
         self.check_stall();
         self.pump();
-    }
-
-    /// Feeds one columnar chunk of the shard's partition, in order,
-    /// then pumps. When no supervision drill is armed and nothing has
-    /// ever been quarantined, the backlog drains through the
-    /// executor's vectorized probe in one pass; any complication — an
-    /// armed [`ShardFault`], a prior quarantine, an open stall, a
-    /// panic that escaped the chunked boundary — falls back to the
-    /// per-record pump, whose every decision is keyed to an exact
-    /// record index and therefore bit-identical to scalar supervision.
-    pub(crate) fn offer_chunk(&mut self, chunk: &RecordChunk) {
-        for i in 0..chunk.len() {
-            self.received += 1;
-            if !self.ex.has_crashed() {
-                if let Some(r) = chunk.get(i) {
-                    self.buf.push_back(r);
-                }
-            }
-        }
-        self.check_stall();
-        if self.chunked_eligible() {
-            self.pump_chunked();
-        } else {
-            self.pump();
-        }
-    }
-
-    /// The vectorized pump is only sound while supervision has nothing
-    /// to attribute per record: no armed drill, no quarantine history,
-    /// no open stall, no prior escaped panic.
-    fn chunked_eligible(&self) -> bool {
-        self.fault.is_none()
-            && !self.scalar_fallback
-            && !self.stalled
-            && self.health.poisoned.is_empty()
-    }
-
-    /// Drains the backlog through [`Executor::offer_chunk`], one panic
-    /// boundary per pending range.
-    fn pump_chunked(&mut self) {
-        while !self.ex.has_crashed() && self.consumed < self.received {
-            let start =
-                usize::try_from(self.consumed.saturating_sub(self.buf_start)).unwrap_or(usize::MAX);
-            let pending: RecordChunk = self.buf.iter().skip(start).copied().collect();
-            if pending.is_empty() {
-                return;
-            }
-            let before = self.ex.report().records;
-            let ex = &mut self.ex;
-            let outcome = catch_unwind(AssertUnwindSafe(|| ex.offer_chunk(&pending)));
-            match outcome {
-                Ok(()) => {
-                    let processed = self.ex.report().records.saturating_sub(before);
-                    self.consumed += processed;
-                    self.heartbeat.beat(self.consumed);
-                    self.prune();
-                    if processed == 0 {
-                        // A crash fuse fired before the first lane (the
-                        // `has_crashed` guard exits the loop), or the
-                        // chunk was consumed without progress — never
-                        // spin either way.
-                        return;
-                    }
-                }
-                Err(_) => {
-                    // A real panic escaped the vectorized probe: restart
-                    // from the checkpoint and replay per record, which
-                    // re-hits the death at its exact index and runs the
-                    // normal poison state machine from there.
-                    self.heartbeat.publish(ShardState::Dead);
-                    self.health.panics_caught += 1;
-                    self.scalar_fallback = true;
-                    self.restart();
-                    self.pump();
-                    return;
-                }
-            }
-        }
     }
 
     /// Feed closed: resolve any open stall (the deadline authority —
@@ -450,9 +386,21 @@ impl ShardDriver {
     /// crash-fuse death (which supervision deliberately leaves for
     /// manual recovery — `CrashPlan` models a dead *process*, not a
     /// dead thread).
+    ///
+    /// The backlog goes through [`Executor::offer_chunk`] in ranges that
+    /// end just before the next supervision event (see
+    /// [`ShardDriver::next_event`]); each event is then handled at its
+    /// exact index. Ranges are capped at [`PROCESSING_WINDOW_SIZE`]
+    /// lanes, and at one lane up to the end of the last range a real
+    /// panic escaped.
     fn pump(&mut self) {
         while !self.stalled && !self.ex.has_crashed() && self.consumed < self.received {
             let i = self.consumed;
+            if i >= self.lane_until {
+                // The replay passed the range alive: the death did not
+                // repeat, so it names no index.
+                self.unlocated_death = false;
+            }
             if self.is_poisoned(i) {
                 // Quarantined: skip, but account — replay after a later
                 // restart re-applies this deterministically.
@@ -467,44 +415,122 @@ impl ShardDriver {
                 self.check_stall();
                 continue;
             }
-            let outcome = if self.panic_fires_left > 0 && self.fault.panic_at_record == Some(i) {
+            if self.panic_fires_left > 0 && self.fault.panic_at_record == Some(i) {
                 // Raise the injected death inside the same boundary a
                 // real one would hit.
-                catch_unwind(|| panic_any(InjectedShardPanic))
+                if catch_unwind(|| panic_any(InjectedShardPanic)).is_err() {
+                    self.on_panic(i, 1);
+                }
+                continue;
+            }
+            let cap = if i < self.lane_until {
+                1
             } else {
-                let rec = self.buf[(i - self.buf_start) as usize];
-                let ex = &mut self.ex;
-                catch_unwind(AssertUnwindSafe(|| ex.process(&rec)))
+                PROCESSING_WINDOW_SIZE as u64
             };
-            match outcome {
+            let end = self.next_event(i).min(self.received).min(i + cap);
+            let len = self.buf.len();
+            let from = usize::try_from(i - self.buf_start).map_or(len, |f| f.min(len));
+            let to = usize::try_from(end - self.buf_start).map_or(len, |t| t.min(len));
+            let range: RecordChunk = self.buf.range(from..to.max(from)).copied().collect();
+            let before = self.ex.report().records;
+            match catch_unwind(AssertUnwindSafe(|| self.offer_range(&range))) {
                 Ok(()) => {
-                    self.consumed += 1;
+                    // A crash fuse may stop the range early; count only
+                    // what the executor actually consumed.
+                    let processed = self.ex.report().records.saturating_sub(before);
+                    self.consumed += processed;
                     self.heartbeat.beat(self.consumed);
                     self.prune();
+                    if processed == 0 {
+                        // Only a fired crash fuse (which ends the loop)
+                        // consumes nothing; never spin either way.
+                        return;
+                    }
                 }
-                Err(_) => self.on_panic(i),
+                Err(_) => {
+                    // A real panic: the replay after the restart goes
+                    // lane by lane through this range, so it re-hits
+                    // the death at its exact index and every death
+                    // there counts toward the poison verdict.
+                    self.lane_until = self.lane_until.max(end);
+                    if range.len() == 1 {
+                        let unlocated = std::mem::take(&mut self.unlocated_death);
+                        self.on_panic(i, 1 + u32::from(unlocated));
+                    } else {
+                        self.heartbeat.publish(ShardState::Dead);
+                        self.health.panics_caught += 1;
+                        self.unlocated_death = true;
+                        self.restart();
+                    }
+                }
             }
         }
+    }
+
+    /// Offers `range`, the backlog's lanes from the consumption point
+    /// on, to the executor.
+    fn offer_range(&mut self, range: &RecordChunk) {
+        #[cfg(test)]
+        if let Some((p, fires)) = self.real_poison.filter(|&(p, fires)| {
+            fires > 0 && p >= self.consumed && p - self.consumed < range.len() as u64
+        }) {
+            // The lanes before the poison are applied, then the
+            // executor's work unwinds.
+            self.real_poison = Some((p, fires - 1));
+            let head = (p - self.consumed) as usize;
+            self.ex.offer_chunk(&range.iter().take(head).collect());
+            panic_any(InjectedShardPanic);
+        }
+        self.ex.offer_chunk(range);
+    }
+
+    /// The first index at or after `i` where supervision must act
+    /// between records: the armed panic index (while it still fires),
+    /// the armed stall index (until handled), or a quarantined record.
+    fn next_event(&self, i: u64) -> u64 {
+        let panic = self
+            .fault
+            .panic_at_record
+            .filter(|&p| self.panic_fires_left > 0 && p >= i);
+        let stall = self
+            .fault
+            .stall_at_record
+            .filter(|&p| !self.stall_handled && p >= i);
+        let poison = self
+            .health
+            .poisoned
+            .iter()
+            .map(|p| p.index)
+            .filter(|&p| p >= i);
+        panic
+            .into_iter()
+            .chain(stall)
+            .chain(poison)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     fn is_poisoned(&self, i: u64) -> bool {
         self.health.poisoned.iter().any(|p| p.index == i)
     }
 
-    /// A panic escaped `process` (or the injected fuse fired) at
-    /// shard-local index `i`: track consecutive kills, quarantine at
-    /// the threshold, and restart from the checkpoint either way.
-    fn on_panic(&mut self, i: u64) {
+    /// A panic escaped a one-lane range (or the injected fuse fired) at
+    /// shard-local index `i`: track consecutive kills — `deaths` of
+    /// them, counting an earlier unlocated death this one locates —
+    /// quarantine at the threshold, and restart from the checkpoint
+    /// either way.
+    fn on_panic(&mut self, i: u64, deaths: u32) {
         self.heartbeat.publish(ShardState::Dead);
         self.health.panics_caught += 1;
         if self.fault.panic_at_record == Some(i) && self.panic_fires_left > 0 {
             self.panic_fires_left -= 1;
         }
         if self.last_panic_index == Some(i) {
-            self.panic_attempts += 1;
+            self.panic_attempts += deaths;
         } else {
             self.last_panic_index = Some(i);
-            self.panic_attempts = 1;
+            self.panic_attempts = deaths;
         }
         if self.panic_attempts >= self.policy.poison_threshold {
             let record = self.buf[(i - self.buf_start) as usize];
@@ -517,6 +543,9 @@ impl ShardDriver {
             });
             self.last_panic_index = None;
             self.panic_attempts = 0;
+            // Quarantined: the range cut at `i` now isolates it, so the
+            // replay need not go lane by lane.
+            self.lane_until = 0;
         }
         self.restart();
     }
@@ -558,12 +587,13 @@ impl ShardDriver {
     fn restart(&mut self) {
         self.heartbeat.publish(ShardState::Restarting);
         self.health.restarts += 1;
+        let restarts = self.ex.report().shard_restarts + 1;
         let (mut ex, hwm, stale) = match self.ex.store_handle() {
             Some(store) => self.restart_from_store(store),
             // Nothing is durable: start fresh and replay the buffer.
             None => (self.cfg.build(), 0, false),
         };
-        ex.note_restart();
+        ex.note_restarts(restarts);
         let resume = hwm.max(self.buf_start);
         let gap = self.buf_start.saturating_sub(hwm);
         if stale {
@@ -632,5 +662,124 @@ impl ShardDriver {
             self.buf.pop_front();
             self.buf_start += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::executor::RunReport;
+    use crate::plan::PhysicalPlan;
+    use crate::CostParams;
+    use std::sync::Arc;
+
+    /// 4 096 records in 500-record epochs, so checkpoints fall every
+    /// 500 records and the feed's 1 024-record batches straddle them.
+    fn stream() -> Vec<Record> {
+        (0..4096u32)
+            .map(|i| Record::new(&[i % 7, i % 5, i % 3, 0], u64::from(i) * 100))
+            .collect()
+    }
+
+    fn config() -> ExecutorConfig {
+        let plan = PhysicalPlan::flat([
+            (AttrSet::parse("A").unwrap(), 4),
+            (AttrSet::parse("B").unwrap(), 4),
+        ]);
+        let mut cfg = ExecutorConfig::new(plan, CostParams::paper(), 50_000, 7);
+        cfg.durable = true;
+        cfg
+    }
+
+    /// Runs the supervised shard over [`stream`] with a real poison at
+    /// index `p` firing `fires` times; returns what it left plus the
+    /// driver's one-lane window and consumption point before close.
+    fn drive(fault: ShardFault, p: u64, fires: u32) -> (RunReport, ShardHealth, u64, u64) {
+        let cfg = config();
+        let heartbeat = Arc::new(ShardHeartbeat::default());
+        let mut driver = ShardDriver::new(
+            0,
+            cfg.clone(),
+            cfg.build(),
+            fault,
+            SupervisorPolicy::default(),
+            heartbeat,
+        );
+        driver.real_poison = Some((p, fires));
+        for window in stream().chunks(PROCESSING_WINDOW_SIZE) {
+            driver.feed(window);
+        }
+        let (lane_until, consumed) = (driver.lane_until, driver.consumed);
+        let (ex, health) = driver.close();
+        let (report, _) = ex.finish();
+        (report, health, lane_until, consumed)
+    }
+
+    /// The fault-free run of [`stream`] without the record at `skip`.
+    fn without(skip: Option<u64>) -> RunReport {
+        let kept: Vec<Record> = stream()
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i as u64) != skip)
+            .map(|(_, r)| r)
+            .collect();
+        let mut ex = config().build();
+        ex.run(&kept);
+        ex.finish().0
+    }
+
+    #[test]
+    fn a_death_inside_a_multi_lane_range_counts_toward_quarantine() {
+        // The first death escapes the range [1024, 2048) with no index;
+        // the lane-by-lane replay locates it and two more deaths there
+        // reach the threshold: three deaths, three restarts.
+        let p = 1537;
+        let (report, health, lane_until, _) = drive(ShardFault::none(), p, u32::MAX);
+        assert_eq!(health.panics_caught, 3);
+        assert_eq!(health.restarts, 3);
+        assert_eq!(health.poisoned.len(), 1);
+        assert_eq!(health.poisoned[0].index, p);
+        assert_eq!(health.poisoned[0].attempts, 3);
+        // The quarantine ended the one-lane window.
+        assert_eq!(lane_until, 0);
+        let mut want = without(Some(p));
+        want.records += 1;
+        want.records_poisoned += 1;
+        want.shard_restarts = 3;
+        assert_eq!(report, want);
+    }
+
+    #[test]
+    fn a_death_in_a_one_lane_range_replays_lane_by_lane() {
+        // The stall armed at 1025 cuts the range at 1024 to one lane.
+        // Every replay of the death there must go lane by lane, so each
+        // of the three deaths is located and counted.
+        let p = 1024;
+        let (report, health, _, _) = drive(ShardFault::stall_at(p + 1, 1), p, u32::MAX);
+        assert_eq!(health.panics_caught, 3);
+        assert_eq!(health.restarts, 3);
+        assert_eq!(health.poisoned.len(), 1);
+        assert_eq!(health.poisoned[0].index, p);
+        assert_eq!(health.poisoned[0].attempts, 3);
+        let mut want = without(Some(p));
+        want.records += 1;
+        want.records_poisoned += 1;
+        want.shard_restarts = 3;
+        assert_eq!(report, want);
+    }
+
+    #[test]
+    fn a_death_that_does_not_repeat_leaves_the_one_lane_window() {
+        let p = 1537;
+        let (report, health, lane_until, consumed) = drive(ShardFault::none(), p, 1);
+        assert_eq!(health.panics_caught, 1);
+        assert_eq!(health.restarts, 1);
+        assert!(health.poisoned.is_empty());
+        // One lane at a time only to the end of the range that died.
+        assert_eq!(lane_until, 2 * PROCESSING_WINDOW_SIZE as u64);
+        assert!(consumed > lane_until);
+        let mut want = without(None);
+        want.shard_restarts = 1;
+        assert_eq!(report, want);
     }
 }

@@ -120,12 +120,12 @@ fn r008_panic_sites_on_the_hot_path() {
     // Clamped modulo + get_mut, and an unwrap four hops out (beyond the
     // reachability horizon): clean.
     assert!(run(&[("crates/gigascope/src/table.rs", neg)]).is_empty());
-    // The chunked ingestion entry points are roots too: a panic site
-    // reachable from offer_chunk (or run_chunked) is on the hot path
-    // even when nothing named `offer` exists in the file.
+    // The chunked ingestion entry point is a root too: a panic site
+    // reachable from offer_chunk is on the hot path even when nothing
+    // named `offer` exists in the file.
     let chunk_pos = "pub struct Lfta { slots: Vec<u64> }\n\
          impl Lfta {\n\
-             pub fn run_chunked(&mut self, keys: &[u64]) {\n\
+             pub fn feed(&mut self, keys: &[u64]) {\n\
                  for &k in keys { self.offer_chunk(k); }\n\
              }\n\
              pub fn offer_chunk(&mut self, key: u64) {\n\

@@ -18,8 +18,8 @@
 //! differential battery.
 
 use msa_core::{
-    AttrSet, CostParams, CrashPlan, GuardPolicy, Record, RunReport, ShardFault, ShardState,
-    ShardedExecutor, SupervisorPolicy,
+    shard_of, AttrSet, CostParams, CrashPlan, GuardPolicy, Record, RunReport, ShardFault,
+    ShardState, ShardedExecutor, SupervisorPolicy, PROCESSING_WINDOW_SIZE,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -226,7 +226,10 @@ fn drill_matrix_is_deterministic_and_replay_exact() {
                     // except the restart counter itself.
                     assert_eq!(d1.health.records_unreplayed, 0, "{label}");
                     let mut scrubbed = d1.report.clone();
-                    assert!(scrubbed.shard_restarts > 0, "{label}: restart counted");
+                    assert_eq!(
+                        scrubbed.shard_restarts, d1.health.restarts,
+                        "{label}: every restart counted"
+                    );
                     scrubbed.shard_restarts = 0;
                     assert_eq!(scrubbed, base_report, "{label}: report vs fault-free");
                     assert_eq!(
@@ -367,62 +370,118 @@ fn heartbeats_report_progress_and_final_state() {
     assert_eq!(report.shard_restarts, 0);
 }
 
-/// Satellite: a poison record arriving *inside a chunk* quarantines
-/// exactly that one record. The chunked feed re-chunks per shard, the
-/// supervisor drops to per-record replay around the armed fault, and
-/// every ledger — quarantine index, replay counters, bias identity —
-/// is bit-identical to the scalar feed's quarantine, at every chunk
-/// size that places the poisoned lane somewhere different inside its
-/// chunk.
+/// Supervision events landing *inside a chunk*. The pump offers
+/// [`PROCESSING_WINDOW_SIZE`]-lane chunk ranges and cuts its
+/// ranges just before every event, so a poison, a transient panic or a
+/// stall armed at lane 0, lane 1 or the last lane of a chunk must each
+/// act at exactly its record index. A poison quarantines exactly that
+/// one record — the run equals the fault-free deployment without it,
+/// plus the quarantine counters — and panics and stalls replay to the
+/// fault-free run. Across the three lane positions the outcome is
+/// identical up to what the index itself decides: which record is
+/// quarantined and how far the replay reaches back to the checkpoint.
 #[test]
 fn poison_inside_a_chunk_quarantines_exactly_one_record() {
-    use msa_core::IngestMode;
     let records = stream(scale());
     let n = 4;
     let target = n - 1;
     let len = part_len(n, &records);
-    let fault = ShardFault::panic_repeating(len / 2, 8);
-    let policy = SupervisorPolicy::default();
-    let scalar = drill(n, false, fault, policy, &records);
-    for size in [7usize, 64, 1024] {
-        let label = format!("chunk={size}");
-        let run = || {
-            let mut sx = build(n, false)
-                .with_ingest(IngestMode::Chunked { size })
-                .with_shard_fault(target, fault)
-                .with_supervision(policy);
-            sx.run(&records);
-            let health = sx.shard_health(target).clone();
-            let final_state = sx.heartbeat(target).state();
-            let (report, hfta) = sx.finish();
-            Drilled {
-                report,
-                hfta,
-                health,
-                final_state,
+    let mut base = build(n, false);
+    base.run(&records);
+    let (base_report, base_hfta) = base.finish();
+    // Lane 0, lane 1 and the last lane of the target shard's first
+    // chunk — its final partial chunk when the partition is shorter.
+    let lanes = [0, 1, (PROCESSING_WINDOW_SIZE as u64 - 1).min(len - 1)];
+    for dname in ["poison", "panic", "stall"] {
+        let mut first: Option<(RunReport, Hfta, msa_core::ShardHealth)> = None;
+        for at in lanes {
+            let (fault, policy) = match dname {
+                "poison" => (
+                    ShardFault::panic_repeating(at, 8),
+                    SupervisorPolicy::default(),
+                ),
+                "panic" => (ShardFault::panic_at(at), SupervisorPolicy::default()),
+                _ => (
+                    ShardFault::stall_at(at, 1 << 40),
+                    SupervisorPolicy::default().with_stall_deadline(16),
+                ),
+            };
+            let label = format!("{dname} at lane {at}");
+            let d1 = drill(n, false, fault, policy, &records);
+            let d2 = drill(n, false, fault, policy, &records);
+            assert_eq!(d1.report, d2.report, "{label}: determinism");
+            assert_eq!(d1.hfta.results(), d2.hfta.results(), "{label}");
+            assert_eq!(d1.health, d2.health, "{label}");
+            assert_eq!(d1.report.records, records.len() as u64, "{label}");
+            assert_eq!(d1.final_state, ShardState::Done, "{label}");
+            assert_bias_identity(&label, &d1.report, &d1.hfta, records.len());
+            if dname == "poison" {
+                // Exactly one record quarantined, at the armed index;
+                // the rest of its chunk replays.
+                assert_eq!(d1.report.records_poisoned, 1, "{label}");
+                assert_eq!(d1.health.poisoned.len(), 1, "{label}");
+                assert_eq!(d1.health.poisoned[0].index, at, "{label}");
+                // Chunk-free expectation: the fault-free deployment fed
+                // the stream without that record, plus the quarantine's
+                // own counters.
+                let (global, _) = records
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| shard_of(SEED, r, n) == target)
+                    .nth(at as usize)
+                    .unwrap();
+                let mut kept = records.clone();
+                kept.remove(global);
+                let mut want = build(n, false);
+                want.run(&kept);
+                let (mut want_report, want_hfta) = want.finish();
+                want_report.records += 1;
+                want_report.records_poisoned += 1;
+                // Three restarts from one checkpoint: the report counts
+                // all three, like the health ledger.
+                assert_eq!(d1.health.restarts, 3, "{label}");
+                assert_eq!(d1.report.shard_restarts, 3, "{label}");
+                want_report.shard_restarts = 3;
+                assert_eq!(d1.report, want_report, "{label}: report vs without");
+                assert_eq!(
+                    d1.hfta.results(),
+                    want_hfta.results(),
+                    "{label}: results vs without"
+                );
+            } else {
+                assert!(d1.health.poisoned.is_empty(), "{label}");
+                assert_eq!(d1.health.restarts, 1, "{label}");
+                let mut scrubbed = d1.report.clone();
+                scrubbed.shard_restarts = 0;
+                assert_eq!(scrubbed, base_report, "{label}: report vs fault-free");
+                assert_eq!(
+                    d1.hfta.results(),
+                    base_hfta.results(),
+                    "{label}: results vs fault-free"
+                );
             }
-        };
-        let d1 = run();
-        let d2 = run();
-        assert_eq!(d1.report, d2.report, "{label}: determinism");
-        assert_eq!(d1.hfta.results(), d2.hfta.results(), "{label}");
-        assert_eq!(d1.health, d2.health, "{label}");
-        // Bit-identical to the scalar-feed drill: the chunk boundary
-        // around the poisoned lane leaks into nothing.
-        assert_eq!(d1.report, scalar.report, "{label}: report vs scalar feed");
-        assert_eq!(
-            d1.hfta.results(),
-            scalar.hfta.results(),
-            "{label}: results vs scalar feed"
-        );
-        assert_eq!(d1.health, scalar.health, "{label}: health vs scalar feed");
-        // Exactly one record quarantined, at the armed index; the rest
-        // of its chunk replays.
-        assert_eq!(d1.report.records_poisoned, 1, "{label}");
-        assert_eq!(d1.health.poisoned.len(), 1, "{label}");
-        assert_eq!(d1.health.poisoned[0].index, len / 2, "{label}");
-        assert_eq!(d1.report.records, records.len() as u64, "{label}");
-        assert_eq!(d1.final_state, ShardState::Done, "{label}");
-        assert_bias_identity(&label, &d1.report, &d1.hfta, records.len());
+            // Identical across lane positions, up to the index-decided
+            // replay length and quarantined record.
+            let mut health = d1.health.clone();
+            health.records_replayed = 0;
+            for p in &mut health.poisoned {
+                p.index = 0;
+                p.record = Record::new(&[0; 4], 0);
+            }
+            match &first {
+                None => first = Some((d1.report, d1.hfta, health)),
+                Some((report, hfta, want_health)) => {
+                    assert_eq!(&health, want_health, "{label}: health across lanes");
+                    if dname != "poison" {
+                        assert_eq!(&d1.report, report, "{label}: report across lanes");
+                        assert_eq!(
+                            d1.hfta.results(),
+                            hfta.results(),
+                            "{label}: results across lanes"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,11 +1,15 @@
 //! Differential vectorization battery: the chunked columnar LFTA path
-//! versus the scalar oracle.
+//! versus the per-record reference semantics of [`Executor::process`].
 //!
-//! The same seeded trace is replayed through scalar ingestion and
-//! through the chunked [`Ingest::offer_chunk`] path across the matrix
-//! {chunk sizes 1/7/64/1024} × {shard counts} × {loss, dup, burst
-//! faults} × {crash points}, asserting at every cell that the chunked
-//! path is **bit-identical** to the scalar one:
+//! The same seeded trace is replayed record by record through
+//! `process` and through [`Executor::offer_chunk`] across the matrix
+//! {chunk sizes 1/7/64/1024} × {loss, dup, burst faults} × {guard}, and
+//! the sharded deployment — whose feed is chunked — is replayed against
+//! a per-shard oracle ({shard counts} × {faults} × {guard} × {crash
+//! points}): clones of a never-run twin deployment's shards, each fed
+//! its partition through `process`, folded the way
+//! [`ShardedExecutor::finish`] folds. Every cell must be
+//! **bit-identical** to its oracle:
 //!
 //! * identical [`RunReport`]s (every counter, cost trace and ledger);
 //! * identical per-epoch HFTA result lists and per-group totals;
@@ -18,10 +22,12 @@
 //! from the timestamp column, so no chunk size, shard count, fault or
 //! crash point may shift a single PRNG draw, sequence number or WAL
 //! entry. `MSA_SCALE` (0, 1] shrinks the trace and trims the matrix.
+//!
+//! [`BoundsReport`]: msa_core::BoundsReport
 
 use msa_core::{
-    AttrSet, Burst, CostParams, CrashPlan, EvictionLog, Executor, FaultPlan, GuardPolicy, Ingest,
-    IngestMode, Record, RecordChunk, RunReport, ShardedExecutor, Snapshot, ValueSource,
+    AttrSet, BoundsReport, Burst, CostParams, CrashPlan, EvictionLog, Executor, FaultPlan,
+    GuardPolicy, Record, RecordChunk, RunReport, ShardedExecutor, Snapshot, ValueSource,
 };
 use msa_gigascope::plan::{PhysicalPlan, PlanNode};
 use msa_gigascope::Hfta;
@@ -142,12 +148,10 @@ fn build_sharded(
     faults: &Option<FaultPlan>,
     guard_on: bool,
     durable: bool,
-    ingest: IngestMode,
 ) -> ShardedExecutor {
     let mut sx = ShardedExecutor::new(phantom_plan(), CostParams::paper(), EPOCH, SEED, n)
         .unwrap()
-        .with_value_source(ValueSource::Attr(2))
-        .with_ingest(ingest);
+        .with_value_source(ValueSource::Attr(2));
     if let Some(f) = faults {
         sx = sx.with_faults(f);
     }
@@ -160,11 +164,65 @@ fn build_sharded(
     sx
 }
 
+/// The per-shard oracle of a deployment: `twin` is built like the
+/// deployment under test but never run, so no store is shared. Each of
+/// its fresh shards is cloned and fed its partition of `records`
+/// record by record through [`Executor::process`].
+fn shard_oracles(twin: &ShardedExecutor, records: &[Record]) -> Vec<Executor> {
+    twin.partition(records)
+        .iter()
+        .enumerate()
+        .map(|(k, part)| {
+            let mut ex = twin.shard(k).clone();
+            for r in part {
+                ex.process(r);
+            }
+            ex
+        })
+        .collect()
+}
+
+/// Folds per-shard oracles the way [`ShardedExecutor::finish`] and
+/// [`ShardedExecutor::bounds`] fold shards: reports with
+/// [`RunReport::merge`], HFTAs with [`Hfta::merge_ordered`], bounds
+/// with [`BoundsReport::merge`].
+fn fold_oracles(oracles: Vec<Executor>) -> (RunReport, Hfta, BoundsReport) {
+    let queries = oracles[0].queries().to_vec();
+    let mut bounds = oracles[0].bounds();
+    for ex in &oracles[1..] {
+        bounds.merge(&ex.bounds());
+    }
+    if oracles.len() == 1 {
+        let ex = oracles.into_iter().next().unwrap();
+        let (report, hfta) = ex.finish();
+        return (report, hfta, bounds);
+    }
+    let mut report: Option<RunReport> = None;
+    let mut hftas = Vec::new();
+    for ex in oracles {
+        let (r, h) = ex.finish();
+        match &mut report {
+            Some(acc) => acc.merge(&r),
+            None => report = Some(r),
+        }
+        hftas.push(h);
+    }
+    (
+        report.unwrap(),
+        Hfta::merge_ordered(queries, &hftas),
+        bounds,
+    )
+}
+
 /// Shard `k`'s stored checkpoint: the newest snapshot and its
 /// write-ahead log, as a crash would leave them.
 fn stored_artifacts(sx: &ShardedExecutor, k: usize) -> (Snapshot, EvictionLog) {
-    let artifacts = sx
-        .shard(k)
+    executor_artifacts(sx.shard(k))
+}
+
+/// [`stored_artifacts`] of a single executor.
+fn executor_artifacts(ex: &Executor) -> (Snapshot, EvictionLog) {
+    let artifacts = ex
         .store_handle()
         .expect("a durable shard has a store")
         .recover_artifacts()
@@ -174,14 +232,14 @@ fn stored_artifacts(sx: &ShardedExecutor, k: usize) -> (Snapshot, EvictionLog) {
 }
 
 /// Everything a cell can observe from a finished serial executor.
-fn finish_serial(ex: Executor) -> (RunReport, Hfta, msa_core::BoundsReport) {
+fn finish_serial(ex: Executor) -> (RunReport, Hfta, BoundsReport) {
     let bounds = ex.bounds();
     let (report, hfta) = ex.finish();
     (report, hfta, bounds)
 }
 
-/// Serial cells: {chunk size} × {fault} × {guard}, chunked through the
-/// [`Ingest`] trait versus the scalar oracle through the same trait.
+/// Serial cells: {chunk size} × {fault} × {guard}, chunked through
+/// [`Executor::offer_chunk`] versus the per-record oracle.
 #[test]
 fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
     let scale = scale();
@@ -191,14 +249,14 @@ fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
         for guard_on in [false, true] {
             let mut oracle = build_serial(&faults, guard_on);
             for r in &records {
-                Ingest::offer(&mut oracle, r);
+                oracle.process(r);
             }
             let (want_report, want_hfta, want_bounds) = finish_serial(oracle);
             for &size in &chunk_sizes(scale) {
                 let label = format!("chunk={size}/{fname}/guard={guard_on}");
                 let mut chunked = build_serial(&faults, guard_on);
                 for batch in records.chunks(size) {
-                    Ingest::offer_chunk(&mut chunked, &RecordChunk::from_records(batch));
+                    chunked.offer_chunk(&RecordChunk::from_records(batch));
                 }
                 let (got_report, got_hfta, got_bounds) = finish_serial(chunked);
                 assert_eq!(got_report, want_report, "{label}: report");
@@ -216,7 +274,9 @@ fn serial_chunked_matches_scalar_oracle_bit_for_bit() {
 fn one_giant_chunk_spans_every_epoch_boundary() {
     let base = stream(scale());
     let mut oracle = build_serial(&None, false);
-    oracle.run(&base);
+    for r in &base {
+        oracle.process(r);
+    }
     let (want_report, want_hfta, _) = finish_serial(oracle);
     let mut chunked = build_serial(&None, false);
     chunked.offer_chunk(&RecordChunk::from_records(&base));
@@ -225,10 +285,11 @@ fn one_giant_chunk_spans_every_epoch_boundary() {
     assert_eq!(got_hfta.results(), want_hfta.results());
 }
 
-/// Sharded cells: {chunk size} × {shards} × {fault} × {guard}. The
-/// chunked feed (chunk-at-a-time partitioning, per-shard re-chunking)
-/// must merge to the exact scalar-feed outputs, and two chunked
-/// threaded runs must agree bit-for-bit with each other.
+/// Sharded cells: {shards} × {fault} × {guard}. The deployment's
+/// feed (batched partitioning, chunk ranges offered under
+/// supervision) must merge to the exact outputs of the
+/// per-shard oracle, and two threaded runs must agree bit-for-bit with
+/// each other.
 #[test]
 fn sharded_chunked_matches_scalar_feed_across_matrix() {
     let scale = scale();
@@ -237,60 +298,53 @@ fn sharded_chunked_matches_scalar_feed_across_matrix() {
         let records = disturbed(&base, &faults);
         for guard_on in [false, true] {
             for &n in &shard_counts(scale) {
-                let mut scalar = build_sharded(n, &faults, guard_on, false, IngestMode::Scalar);
-                scalar.run(&records);
-                let want_bounds = scalar.bounds();
-                let (want_report, want_hfta) = scalar.finish();
-                for &size in &chunk_sizes(scale) {
-                    let label = format!("{n} shards/chunk={size}/{fname}/guard={guard_on}");
-                    let mode = IngestMode::Chunked { size };
-                    let run = || {
-                        let mut sx = build_sharded(n, &faults, guard_on, false, mode);
-                        sx.run(&records);
-                        let bounds = sx.bounds();
-                        let (report, hfta) = sx.finish();
-                        (report, hfta, bounds)
-                    };
-                    let (r1, h1, b1) = run();
-                    let (r2, h2, b2) = run();
-                    assert_eq!(r1, r2, "{label}: two chunked runs");
-                    assert_eq!(h1.results(), h2.results(), "{label}: two chunked runs");
-                    assert_eq!(b1, b2, "{label}: two chunked runs");
-                    assert_eq!(r1, want_report, "{label}: report vs scalar");
-                    assert_eq!(h1.results(), want_hfta.results(), "{label}: results");
-                    assert_eq!(b1, want_bounds, "{label}: bounds vs scalar");
-                }
+                let label = format!("{n} shards/{fname}/guard={guard_on}");
+                let twin = build_sharded(n, &faults, guard_on, false);
+                let (want_report, want_hfta, want_bounds) =
+                    fold_oracles(shard_oracles(&twin, &records));
+                let run = || {
+                    let mut sx = build_sharded(n, &faults, guard_on, false);
+                    sx.run(&records);
+                    let bounds = sx.bounds();
+                    let (report, hfta) = sx.finish();
+                    (report, hfta, bounds)
+                };
+                let (r1, h1, b1) = run();
+                let (r2, h2, b2) = run();
+                assert_eq!(r1, r2, "{label}: two threaded runs");
+                assert_eq!(h1.results(), h2.results(), "{label}: two threaded runs");
+                assert_eq!(b1, b2, "{label}: two threaded runs");
+                assert_eq!(r1, want_report, "{label}: report vs per-shard oracle");
+                assert_eq!(h1.results(), want_hfta.results(), "{label}: results");
+                assert_eq!(b1, want_bounds, "{label}: bounds vs per-shard oracle");
             }
         }
     }
 }
 
 /// Crash cells: a shard dies at an armed point while fed chunked; its
-/// durable artifacts, the recovery, and the recovered outputs must all
-/// be bit-identical to the scalar-feed crash run — and to the no-crash
-/// baseline after recovery.
+/// durable artifacts must be byte-identical to the per-shard oracle's
+/// crash run, and the recovered outputs to the no-crash baseline, whose
+/// every stored checkpoint in turn equals the oracle's.
 #[test]
 fn crashed_chunked_shards_recover_identically_to_scalar() {
     let scale = scale();
     let base = stream(scale);
-    let sizes = if scale < 0.5 { vec![7] } else { vec![7, 1024] };
     for (fname, faults) in fault_columns() {
         let records = disturbed(&base, &faults);
         for &n in &shard_counts(scale) {
             let crash_shard = n - 1;
-            let probe = build_sharded(n, &faults, false, true, IngestMode::Scalar);
-            let part_len = probe.partition(&records)[crash_shard].len() as u64;
-            // No-crash durable chunked baseline: every shard's stored
-            // checkpoint equals the scalar feed's, byte for byte, and
-            // round-trips through its encoding.
-            let mut scalar_baseline = build_sharded(n, &faults, false, true, IngestMode::Scalar);
-            scalar_baseline.run(&records);
-            let mut baseline =
-                build_sharded(n, &faults, false, true, IngestMode::Chunked { size: 64 });
+            let twin = build_sharded(n, &faults, false, true);
+            let part_len = twin.partition(&records)[crash_shard].len() as u64;
+            // No-crash durable baseline: every shard's stored checkpoint
+            // equals its oracle's, byte for byte, and round-trips
+            // through its encoding.
+            let oracles = shard_oracles(&twin, &records);
+            let mut baseline = build_sharded(n, &faults, false, true);
             baseline.run(&records);
-            for k in 0..n {
+            for (k, oracle) in oracles.iter().enumerate() {
                 let (snap, log) = stored_artifacts(&baseline, k);
-                let (want_snap, want_log) = stored_artifacts(&scalar_baseline, k);
+                let (want_snap, want_log) = executor_artifacts(oracle);
                 assert_eq!(
                     snap.encode(),
                     want_snap.encode(),
@@ -313,80 +367,108 @@ fn crashed_chunked_shards_recover_identically_to_scalar() {
                 crash_points.truncate(2);
             }
             for (cname, crash) in crash_points {
-                // Scalar-feed crash run: the oracle's durable artifacts.
-                let mut scalar = build_sharded(n, &faults, false, true, IngestMode::Scalar)
-                    .with_crash(crash_shard, crash);
-                scalar.run(&records);
-                let (want_snap, want_log) = stored_artifacts(&scalar, crash_shard);
-                for &size in &sizes {
-                    let label = format!("{n} shards/chunk={size}/{fname}/{cname}");
-                    let mut sx =
-                        build_sharded(n, &faults, false, true, IngestMode::Chunked { size })
-                            .with_crash(crash_shard, crash);
-                    sx.run(&records);
-                    assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
-                    let (got_snap, got_log) = stored_artifacts(&sx, crash_shard);
-                    // What a mid-chunk death leaves in the store is the
-                    // scalar feed's, byte for byte.
-                    assert_eq!(got_snap.encode(), want_snap.encode(), "{label}: snapshot");
-                    assert_eq!(got_log.encode(), want_log.encode(), "{label}: WAL");
-                    let fallbacks = sx
-                        .recover_shard_from_store(crash_shard, &records)
-                        .expect("a durable shard has a store");
-                    assert_eq!(fallbacks, 0, "{label}: pristine store, no fallback");
-                    assert!(sx.crashed_shards().is_empty(), "{label}");
-                    let (got_report, got_hfta) = sx.finish();
-                    assert_eq!(got_report, want_report, "{label}: recovered report");
-                    assert_eq!(got_hfta.results(), want_hfta.results(), "{label}: results");
-                }
+                let label = format!("{n} shards/{fname}/{cname}");
+                // The oracle's crash run: the crashing shard's clone
+                // stops consuming at its fuse, its store holding what a
+                // per-record death leaves behind.
+                let twin = build_sharded(n, &faults, false, true).with_crash(crash_shard, crash);
+                let oracles = shard_oracles(&twin, &records);
+                assert!(
+                    oracles[crash_shard].has_crashed(),
+                    "{label}: oracle crashed"
+                );
+                let (want_snap, want_log) = executor_artifacts(&oracles[crash_shard]);
+                let mut sx = build_sharded(n, &faults, false, true).with_crash(crash_shard, crash);
+                sx.run(&records);
+                assert_eq!(sx.crashed_shards(), vec![crash_shard], "{label}");
+                let (got_snap, got_log) = stored_artifacts(&sx, crash_shard);
+                // What a mid-chunk death leaves in the store is the
+                // per-record oracle's, byte for byte.
+                assert_eq!(got_snap.encode(), want_snap.encode(), "{label}: snapshot");
+                assert_eq!(got_log.encode(), want_log.encode(), "{label}: WAL");
+                let fallbacks = sx
+                    .recover_shard_from_store(crash_shard, &records)
+                    .expect("a durable shard has a store");
+                assert_eq!(fallbacks, 0, "{label}: pristine store, no fallback");
+                assert!(sx.crashed_shards().is_empty(), "{label}");
+                let (got_report, got_hfta) = sx.finish();
+                assert_eq!(got_report, want_report, "{label}: recovered report");
+                assert_eq!(got_hfta.results(), want_hfta.results(), "{label}: results");
             }
         }
     }
 }
 
-/// Regression: the router's final, partially-filled chunk is flushed at
-/// feed close, never dropped — every record reaches its shard even when
-/// the stream length shares no factor with the chunk size, and a
-/// crashed shard's shutdown-loss ledger stays exact under chunked feed.
+/// Regression: the router's final, partially-filled batch is flushed at
+/// feed close, never dropped — every record reaches its shard whatever
+/// the partition lengths, and a crashed shard's shutdown-loss ledger
+/// counts exactly the records its feed delivered after the death.
 #[test]
 fn partial_final_chunk_is_flushed_and_shutdown_loss_stays_exact() {
     let scale = scale();
     let base = stream(scale);
-    // 1024 > any single shard's tail: every shard ends on a partial
-    // chunk; 997 is prime, so no boundary ever aligns.
-    for &size in &[997usize, 1024] {
+    // 997 is prime, so no partition is a multiple of the feed's batch
+    // size on either trace length.
+    for records in [&base[..], &base[..997.min(base.len())]] {
         for &n in &shard_counts(scale) {
-            let mut sx = build_sharded(n, &None, false, false, IngestMode::Chunked { size });
-            sx.run(&base);
+            let mut sx = build_sharded(n, &None, false, false);
+            sx.run(records);
             let (report, _) = sx.finish();
             assert_eq!(
                 report.records,
-                base.len() as u64,
-                "{n} shards/chunk={size}: every record of every partial chunk processed"
+                records.len() as u64,
+                "{n} shards/{} records: every record of every partial chunk processed",
+                records.len()
             );
         }
     }
     // A shard dead mid-stream never consumes its tail — including the
-    // partial final chunk. The shutdown-loss ledger must count exactly
-    // the unconsumed records, same as under scalar feed.
+    // partial final batch. The deployment must equal the per-shard
+    // oracle of the same crash, whose dead clone stops at its fuse,
+    // plus the shutdown-loss ledger: exactly the unconsumed records,
+    // the partition past the fuse, counted as seen, shed and stranded.
     let n = 2;
     let crash_shard = n - 1;
-    let probe = build_sharded(n, &None, false, true, IngestMode::Scalar);
+    let probe = build_sharded(n, &None, false, true);
     let part_len = probe.partition(&base)[crash_shard].len() as u64;
     let crash = CrashPlan::at_record(part_len / 2);
-    let run = |mode: IngestMode| {
-        let mut sx = build_sharded(n, &None, false, true, mode).with_crash(crash_shard, crash);
+    let stranded = part_len - part_len / 2;
+    let twin = build_sharded(n, &None, false, true).with_crash(crash_shard, crash);
+    let oracles = shard_oracles(&twin, &base);
+    assert!(oracles[crash_shard].has_crashed(), "oracle crashed");
+    let (mut want_report, want_hfta, mut want_bounds) = fold_oracles(oracles);
+    want_report.records += stranded;
+    want_report.records_shed += stranded;
+    want_report.records_shutdown_lost += stranded;
+    for q in &mut want_bounds.queries {
+        q.losses.shutdown_lost += stranded;
+    }
+    let run = || {
+        let mut sx = build_sharded(n, &None, false, true).with_crash(crash_shard, crash);
         sx.run(&base);
-        sx.finish()
+        let bounds = sx.bounds();
+        let (report, hfta) = sx.finish();
+        (report, hfta, bounds)
     };
-    let (scalar_report, _) = run(IngestMode::Scalar);
-    let (chunked_report, _) = run(IngestMode::Chunked { size: 997 });
+    let (report, hfta, bounds) = run();
+    let (again, again_hfta, again_bounds) = run();
+    assert_eq!(report, again, "shutdown-loss ledger is deterministic");
     assert_eq!(
-        chunked_report, scalar_report,
-        "shutdown-loss ledger identical across feed modes"
+        hfta.results(),
+        again_hfta.results(),
+        "deterministic results"
     );
-    assert!(
-        chunked_report.records_shutdown_lost > 0,
-        "the drill actually stranded records"
+    assert_eq!(bounds, again_bounds, "deterministic bounds");
+    assert_eq!(
+        report.records_shutdown_lost, stranded,
+        "exactly the records past the fuse are stranded"
     );
+    assert_eq!(report.records, base.len() as u64);
+    assert_eq!(report, want_report, "report vs per-shard oracle");
+    assert_eq!(
+        hfta.results(),
+        want_hfta.results(),
+        "results vs per-shard oracle"
+    );
+    assert_eq!(bounds, want_bounds, "bounds vs per-shard oracle");
 }
